@@ -13,8 +13,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -204,14 +206,14 @@ BENCHMARK(BM_MixedConjunction)->DenseRange(2, 5)->Unit(benchmark::kMicrosecond);
 // Deterministic --json report.
 
 template <typename Fn>
-double MeasureQps(Fn&& fn) {
+double MeasureQps(Fn&& fn, double seconds = 0.3) {
   fn();
   csr::WallTimer timer;
   uint64_t iters = 0;
   do {
     fn();
     ++iters;
-  } while (timer.ElapsedSeconds() < 0.3);
+  } while (timer.ElapsedSeconds() < seconds);
   return static_cast<double>(iters) / timer.ElapsedSeconds();
 }
 
@@ -309,6 +311,87 @@ void WriteKernelSection(csr::bench::JsonWriter& j) {
   j.CloseObject();
 }
 
+/// Leapfrog count through ConjunctionIterator — the guarded-scan machinery
+/// the engine's query-time ∩γ runs (never the guard-free pairwise kernel).
+uint64_t LeapfrogCount(const CompressedPostingList& a,
+                       const CompressedPostingList& b) {
+  std::vector<PostingCursor> cursors;
+  cursors.emplace_back(&a, nullptr);
+  cursors.emplace_back(&b, nullptr);
+  uint64_t n = 0;
+  for (csr::ConjunctionIterator it(std::move(cursors)); !it.AtEnd();
+       it.Next()) {
+    ++n;
+  }
+  return n;
+}
+
+/// The query-time ∩γ shape: a short keyword list (~1/60 the length)
+/// probed into a docid-only context-predicate list ~22% dense. kAuto
+/// bitmaps the dense list's blocks and the iterator probes them in place;
+/// kForOnly decodes one 128-posting block per probe. Both arms run in the
+/// same process, so the speedup is a same-run ratio; the gate
+/// (check_bench_regression.py --intersect-bench) holds its floor and the
+/// exact cardinality.
+void WriteDenseProbeSection(csr::bench::JsonWriter& j) {
+  const uint32_t kUniverse = 120000;
+  csr::SplitMix64 rng(61);
+  std::vector<csr::Posting> dense;
+  std::vector<csr::Posting> driver;
+  for (DocId d = 0; d < kUniverse; ++d) {
+    if (rng.NextBool(0.22)) dense.push_back({d, 1});
+    if (rng.NextBool(0.22 / 60)) {
+      driver.push_back({d, 1 + static_cast<uint32_t>(rng.NextBounded(3))});
+    }
+  }
+  auto build = [](const std::vector<csr::Posting>& p, csr::CodecPolicy pol) {
+    return CompressedPostingList::FromPostings(p, 128, pol);
+  };
+  const CompressedPostingList auto_dense =
+      build(dense, csr::CodecPolicy::kAuto);
+  const CompressedPostingList auto_driver =
+      build(driver, csr::CodecPolicy::kAuto);
+  const CompressedPostingList for_dense =
+      build(dense, csr::CodecPolicy::kForOnly);
+  const CompressedPostingList for_driver =
+      build(driver, csr::CodecPolicy::kForOnly);
+
+  // Alternate short rounds of the two arms and keep the median of the
+  // per-round ratios, so a slow spell on a shared machine hits both arms
+  // of a round instead of one arm of the whole measurement.
+  uint64_t auto_result = 0;
+  uint64_t for_result = 0;
+  constexpr int kRounds = 9;
+  std::vector<double> auto_qps, for_qps, ratios;
+  for (int r = 0; r < kRounds; ++r) {
+    auto_qps.push_back(MeasureQps(
+        [&] { auto_result = LeapfrogCount(auto_driver, auto_dense); }, 0.05));
+    for_qps.push_back(MeasureQps(
+        [&] { for_result = LeapfrogCount(for_driver, for_dense); }, 0.05));
+    ratios.push_back(auto_qps.back() / for_qps.back());
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+
+  j.OpenObject("dense_probe");
+  j.Field("nproc", static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  j.Field("dispatch_level",
+          std::string(csr::UnpackLevelName(csr::ActiveUnpackLevel())));
+  j.Field("driver_size", static_cast<uint64_t>(driver.size()));
+  j.Field("dense_size", static_cast<uint64_t>(dense.size()));
+  j.Field("result", auto_result);
+  j.Field("for_only_result", for_result);
+  j.Field("dense_bitmap_blocks", auto_dense.codec_block_counts()[2]);
+  j.Field("dense_blocks", static_cast<uint64_t>(auto_dense.num_blocks()));
+  j.Field("rounds", static_cast<uint64_t>(kRounds));
+  j.Field("auto_qps", median(auto_qps));
+  j.Field("for_only_qps", median(for_qps));
+  j.Field("speedup", median(ratios));  // median per-round ratio
+  j.CloseObject();
+}
+
 void WriteJsonReport(const std::string& path) {
   const uint32_t kUniverse = 1 << 21;
   PostingList long_list = MakeUniformList(kUniverse, 2, 128);
@@ -352,6 +435,7 @@ void WriteJsonReport(const std::string& path) {
   j.CloseObject();
 
   WriteKernelSection(j);
+  WriteDenseProbeSection(j);
   j.Close();
 
   if (csr::Status s = j.WriteFile(path); !s.ok()) {

@@ -48,6 +48,7 @@
 #include "corpus/generator.h"
 #include "engine/engine.h"
 #include "engine/executor.h"
+#include "index/codec.h"
 #include "index/simd_intersect.h"
 #include "index/simd_unpack.h"
 #include "engine/query_parser.h"
@@ -203,7 +204,7 @@ int main(int argc, char** argv) {
                 ? row.s->busy_ms_total /
                       (p.uptime_ms * static_cast<double>(row.s->workers))
                 : 0.0;
-        std::printf("  %-9s workers=%-2zu processed=%-8llu depth=%zu "
+        std::printf("  %-9s workers=%-2u processed=%-8llu depth=%zu "
                     "(max %zu) wait_ms=%-8.2f busy=%.0f%%\n",
                     row.name, row.s->workers,
                     static_cast<unsigned long long>(row.s->processed),
@@ -422,13 +423,16 @@ int main(int argc, char** argv) {
       const std::array<uint64_t, 3> pred =
           engine->predicate_index().CodecBlockCounts();
       for (size_t k = 0; k < blocks.size(); ++k) blocks[k] += pred[k];
+      const csr::DecodeTallies dt = csr::SnapshotDecodeTallies();
       std::printf("kernels: dispatch=%s blocks{varint=%llu for=%llu "
-                  "bitmap=%llu}\n",
+                  "bitmap=%llu} loads{decoded=%llu in_place=%llu}\n",
                   std::string(csr::UnpackLevelName(csr::ActiveUnpackLevel()))
                       .c_str(),
                   static_cast<unsigned long long>(blocks[0]),
                   static_cast<unsigned long long>(blocks[1]),
-                  static_cast<unsigned long long>(blocks[2]));
+                  static_cast<unsigned long long>(blocks[2]),
+                  static_cast<unsigned long long>(dt.blocks_decoded),
+                  static_cast<unsigned long long>(dt.blocks_probed_in_place));
       const csr::IntersectTallies it = csr::SnapshotIntersectTallies();
       std::printf("intersect: pairwise=%llu wide_probe=%llu gallop=%llu "
                   "leapfrog{merge=%llu gallop=%llu}\n",

@@ -7,6 +7,7 @@
 
 #include "engine/merger.h"
 #include "engine/top_k.h"
+#include "index/codec.h"
 #include "index/intersection.h"
 #include "index/simd_intersect.h"
 #include "util/fault.h"
@@ -273,10 +274,15 @@ void ContextSearchEngine::RegisterMetrics() {
         d.segments_quarantined;
   });
   registry_.AddSampleCallback([](csr::MetricsSnapshot& snap) {
-    // Intersection-kernel selector decisions (DESIGN.md §15). The tallies
-    // are process-wide relaxed atomics in simd_intersect.cc — shared
-    // across engines, monotone, read without locks.
+    // Intersection-kernel selector decisions (DESIGN.md §15) and posting
+    // block loads by path (decoded vs bitmap probed in place, DESIGN.md
+    // §11). The tallies are process-wide relaxed atomics in
+    // simd_intersect.cc and codec.cc — shared across engines, monotone,
+    // read without locks.
     const IntersectTallies t = SnapshotIntersectTallies();
+    const DecodeTallies d = SnapshotDecodeTallies();
+    snap.counters["index.blocks_decoded"] = d.blocks_decoded;
+    snap.counters["index.blocks_probed_in_place"] = d.blocks_probed_in_place;
     snap.counters["intersect.kernel.pairwise"] = t.pairwise;
     snap.counters["intersect.kernel.wide_probe"] = t.wide_probe;
     snap.counters["intersect.kernel.gallop"] = t.gallop;

@@ -260,6 +260,15 @@ namespace {
 
 inline size_t BitmapBytesFor(uint32_t range) { return (range + 7) / 8; }
 
+/// Branch-free SWAR population count: std::popcount compiles to a libgcc
+/// call per word on baseline x86-64 (no POPCNT), several times slower.
+inline uint64_t Popcount64(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return (x * 0x0101010101010101ULL) >> 56;
+}
+
 /// Max tf bit width of a block (the bitmap header's only per-value width).
 uint32_t TfWidth(std::span<const Posting> postings) {
   uint32_t tb = 0;
@@ -315,11 +324,46 @@ Result<BitmapBlockCodec::View> BitmapBlockCodec::MakeView(
   if (base + static_cast<uint64_t>(range) >= kInvalidDocId) {
     return Status::InvalidArgument("docid overflow in bitmap block");
   }
+  // Bits at or past `range` can only sit in the high bits of the last
+  // bitmap byte (bytes are LSB-first).
+  if ((range & 7) != 0 && (p[4 + BitmapBytesFor(range)] >> (range & 7)) != 0) {
+    return Status::InvalidArgument("bitmap bits set past range");
+  }
   View v;
   v.bits = p + 5;
   v.range = range;
   v.first = base + 1;
   return v;
+}
+
+uint32_t BitmapBlockCodec::View::Rank(uint32_t off) const {
+  const uint32_t i = off >> 6;
+  uint32_t r = 0;
+  for (uint32_t j = 0; j < i; ++j) {
+    r += static_cast<uint32_t>(Popcount64(Word(j)));
+  }
+  if ((off & 63) != 0) {
+    r += static_cast<uint32_t>(
+        Popcount64(Word(i) & ((uint64_t{1} << (off & 63)) - 1)));
+  }
+  return r;
+}
+
+Status BitmapBlockCodec::CheckPopulation(const View& v, size_t count) {
+  // Population is byte-order independent: whole words, then the tail.
+  const size_t nbytes = BitmapBytesFor(v.range);
+  uint64_t population = 0;
+  size_t byte = 0;
+  for (; byte + 8 <= nbytes; byte += 8) {
+    uint64_t w;
+    std::memcpy(&w, v.bits + byte, 8);
+    population += Popcount64(w);
+  }
+  for (; byte < nbytes; ++byte) population += Popcount64(v.bits[byte]);
+  if (population != count) {
+    return Status::InvalidArgument("bitmap population mismatch");
+  }
+  return Status::OK();
 }
 
 Status BitmapBlockCodec::DecodeDocs(std::string_view in, DocId base,
@@ -328,45 +372,17 @@ Status BitmapBlockCodec::DecodeDocs(std::string_view in, DocId base,
   auto view_r = MakeView(in, base);
   CSR_RETURN_NOT_OK(view_r.status());
   const View& v = view_r.value();
-  if (v.range < count) {
-    return Status::InvalidArgument("bitmap range below block count");
-  }
-  const size_t bm_bytes = BitmapBytesFor(v.range);
-  docs.clear();
-  docs.reserve(count);
-  // Word-wise scan: load 8 bitmap bytes at a time, peel set bits with
-  // countr_zero. Bits at or past `range` in the final word must be zero —
-  // set ones are corruption, as is any population other than `count`.
-  for (size_t byte = 0; byte < bm_bytes; byte += 8) {
-    uint64_t w = 0;
-    size_t n = std::min<size_t>(8, bm_bytes - byte);
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&w, v.bits + byte, n);
-    } else {
-      for (size_t k = 0; k < n; ++k) {
-        w |= static_cast<uint64_t>(v.bits[byte + k]) << (8 * k);
-      }
-    }
-    const uint64_t bit_base = byte * 8;
-    if (bit_base + 64 > v.range) {
-      uint64_t valid = v.range - bit_base;  // < 64
-      if ((w >> valid) != 0) {
-        return Status::InvalidArgument("bitmap bits set past range");
-      }
-    }
-    while (w != 0) {
-      unsigned b = static_cast<unsigned>(std::countr_zero(w));
-      if (docs.size() == count) {
-        return Status::InvalidArgument("bitmap population mismatch");
-      }
-      docs.push_back(v.first + static_cast<DocId>(bit_base + b));
-      w &= w - 1;
+  CSR_RETURN_NOT_OK(CheckPopulation(v, count));
+  // Word-wise scan: peel set bits with countr_zero.
+  docs.resize(count);
+  size_t k = 0;
+  const uint32_t nwords = (v.range + 63) >> 6;
+  for (uint32_t i = 0; i < nwords; ++i) {
+    for (uint64_t w = v.Word(i); w != 0; w &= w - 1) {
+      docs[k++] = v.first + i * 64 + static_cast<DocId>(std::countr_zero(w));
     }
   }
-  if (docs.size() != count) {
-    return Status::InvalidArgument("bitmap population mismatch");
-  }
-  *tf_offset = 5 + bm_bytes;
+  *tf_offset = 5 + BitmapBytesFor(v.range);
   return Status::OK();
 }
 
@@ -403,9 +419,15 @@ Status BitmapBlockCodec::Decode(std::string_view in, DocId base,
 
 namespace {
 
-/// Encodes one block with a leading codec tag, picking the smallest
-/// encoding under kAuto (the auto-selection rule: FOR's and the bitmap's
-/// sizes are computed analytically, varint's by encoding into scratch).
+bool DocidOnly(std::span<const Posting> block) {
+  return std::all_of(block.begin(), block.end(),
+                     [](const Posting& p) { return p.tf == 1; });
+}
+
+/// Encodes one block with a leading codec tag. Under kAuto a dense
+/// docid-only block is bitmapped outright; any other block takes the
+/// smallest encoding (FOR's and the bitmap's sizes are computed
+/// analytically, varint's by encoding into scratch).
 BlockCodec EncodeTaggedBlock(std::span<const Posting> block, DocId base,
                              CodecPolicy policy, std::string& out,
                              std::string& scratch) {
@@ -428,6 +450,18 @@ BlockCodec EncodeTaggedBlock(std::span<const Posting> block, DocId base,
     }
     case CodecPolicy::kAuto:
     default: {
+      // Docid-only blocks (every tf 1: all predicate lists) take the
+      // bitmap whenever its body stays within 4 bytes per posting, even
+      // when FOR would be smaller — iterators probe bitmaps in place, so
+      // leapfrog joins into dense context lists never decode them.
+      if (DocidOnly(block) &&
+          BitmapBlockCodec::EncodedSize(block, base) != SIZE_MAX &&
+          static_cast<uint64_t>(block.back().doc - base) <=
+              uint64_t{BitmapBlockCodec::kDocidOnlyRangePerPosting} *
+                  block.size()) {
+        pick = BlockCodec::kBitmap;
+        break;
+      }
       scratch.clear();
       PostingBlockCodec::Encode(block, base, scratch);
       size_t var_size = scratch.size();
@@ -524,6 +558,8 @@ namespace {
 // every arena-served block load. Benches snapshot deltas.
 std::atomic<uint64_t> g_blocks_decoded{0};
 std::atomic<uint64_t> g_arena_hits{0};
+std::atomic<uint64_t> g_blocks_probed_in_place{0};
+std::atomic<bool> g_in_place_bitmaps{true};
 
 thread_local DecodedBlockArena* tl_active_arena = nullptr;
 
@@ -533,7 +569,13 @@ DecodeTallies SnapshotDecodeTallies() {
   DecodeTallies t;
   t.blocks_decoded = g_blocks_decoded.load(std::memory_order_relaxed);
   t.arena_hits = g_arena_hits.load(std::memory_order_relaxed);
+  t.blocks_probed_in_place =
+      g_blocks_probed_in_place.load(std::memory_order_relaxed);
   return t;
+}
+
+void SetInPlaceBitmapServingForTest(bool enabled) {
+  g_in_place_bitmaps.store(enabled, std::memory_order_relaxed);
 }
 
 DecodedBlockArena::Scope::Scope(DecodedBlockArena* arena)
@@ -676,6 +718,21 @@ Result<CompressedPostingList> CompressedPostingList::FromParts(Parts parts) {
     if (tag > static_cast<uint8_t>(BlockCodec::kBitmap)) {
       return Status::InvalidArgument("unknown posting block codec tag");
     }
+    // Bitmap blocks are served in place, without the strict decode's
+    // population check — so run that check here, once, where untrusted
+    // bytes enter. Linear in the bitmap bytes, far below the cost of
+    // reading the file.
+    if (tag == static_cast<uint8_t>(BlockCodec::kBitmap)) {
+      const size_t end = b + 1 < out.blocks_.size()
+                             ? out.blocks_[b + 1].offset
+                             : out.bytes_.size();
+      auto view = BitmapBlockCodec::MakeView(
+          std::string_view(out.bytes_).substr(m.offset + 1,
+                                              end - m.offset - 1),
+          m.base);
+      CSR_RETURN_NOT_OK(view.status());
+      CSR_RETURN_NOT_OK(BitmapBlockCodec::CheckPopulation(*view, m.count));
+    }
     out.codec_counts_[tag]++;
     counted += m.count;
   }
@@ -728,7 +785,9 @@ std::vector<Posting> CompressedPostingList::Decode() const {
 
 CompressedPostingList::Iterator::Iterator(const CompressedPostingList* list,
                                           CostCounters* cost)
-    : list_(list), cost_(cost) {
+    : list_(list),
+      cost_(cost),
+      in_place_ok_(g_in_place_bitmaps.load(std::memory_order_relaxed)) {
   if (list_->blocks_.empty()) {
     at_end_ = true;
     return;
@@ -741,40 +800,80 @@ std::string_view CompressedPostingList::Iterator::BlockBytes(
   return list_->BlockBytes(block);
 }
 
-void CompressedPostingList::Iterator::LoadBlock(size_t block) {
+void CompressedPostingList::Iterator::Poison() {
+  // Defensive: self-built lists cannot hit this, and persisted lists are
+  // whole-file checksummed before they get here. Poison rather than UB.
+  own_docs_.clear();
+  docs_ = {};
+  in_place_ = false;
+  at_end_ = true;
+}
+
+bool CompressedPostingList::Iterator::LoadInPlace(const BlockMeta& meta,
+                                                  std::string_view raw,
+                                                  DocId target) {
+  // Header and bounds only: O(1) per block entry. The population was
+  // checked where the bytes entered (FromParts), or they were self-built.
+  auto view = BitmapBlockCodec::MakeView(raw.substr(1), meta.base);
+  if (!view.ok()) return false;
+  view_ = view.value();
+  if (!SeekBit(target > view_.first ? target - view_.first : 0)) {
+    return false;  // no posting at or past target: an emptied bitmap
+  }
+  in_place_ = true;
+  docs_ = {};
+  rank_ = 0;
+  rank_ok_ = target <= view_.first;
+  tf_offset_ = 5 + BitmapBytesFor(view_.range);
+  ++in_place_loads_.n;
+  return true;
+}
+
+void CompressedPostingList::Iterator::PendingTally::Flush() {
+  if (n != 0) g_blocks_probed_in_place.fetch_add(n, std::memory_order_relaxed);
+  n = 0;
+}
+
+void CompressedPostingList::Iterator::LoadBlock(size_t block,
+                                                DocId target) {
   block_ = block;
   pos_ = 0;
   tfs_loaded_ = false;
   tfs_ = {};
   const BlockMeta& meta = list_->blocks_[block];
-  if (DecodedBlockArena* arena = DecodedBlockArena::Active()) {
-    if (const DecodedBlockArena::Entry* e = arena->GetDocs(list_, block)) {
-      // Shared decode: every iterator in the batch views the same run, but
-      // the cost charge is identical to a private decode — per-query
-      // counters must not depend on batch composition.
-      docs_ = std::span<const DocId>(e->docs);
-      tf_offset_ = e->tf_offset;
-      if (cost_ != nullptr) {
-        cost_->segments_touched++;
-        cost_->bytes_touched += 1 + tf_offset_;  // tag + docid section
-      }
+  const std::string_view raw = BlockBytes(block);
+  if (in_place_ok_ && static_cast<BlockCodec>(raw[0]) == BlockCodec::kBitmap) {
+    if (!LoadInPlace(meta, raw, target)) {
+      Poison();
       return;
     }
-    // nullptr: arena at its byte bound, or a corrupt block — decode
-    // privately, exactly as without an arena.
+  } else {
+    in_place_ = false;
+    const DecodedBlockArena::Entry* e = nullptr;
+    if (DecodedBlockArena* arena = DecodedBlockArena::Active()) {
+      // Shared decode: every iterator in the batch views the same run.
+      // nullptr means the arena is at its byte bound or the block is
+      // corrupt — decode privately, exactly as without an arena.
+      e = arena->GetDocs(list_, block);
+    }
+    if (e != nullptr) {
+      docs_ = std::span<const DocId>(e->docs);
+      tf_offset_ = e->tf_offset;
+    } else {
+      Status s =
+          DecodeTaggedDocs(raw, meta.base, meta.count, own_docs_, &tf_offset_);
+      if (!s.ok() || own_docs_.empty()) {
+        Poison();
+        return;
+      }
+      g_blocks_decoded.fetch_add(1, std::memory_order_relaxed);
+      docs_ = std::span<const DocId>(own_docs_);
+    }
+    doc_ = docs_[0];
   }
-  Status s = DecodeTaggedDocs(BlockBytes(block), meta.base, meta.count,
-                              own_docs_, &tf_offset_);
-  if (!s.ok() || own_docs_.empty()) {
-    // Defensive: self-built lists cannot hit this, and persisted lists are
-    // whole-file checksummed before they get here. Poison rather than UB.
-    own_docs_.clear();
-    docs_ = {};
-    at_end_ = true;
-    return;
-  }
-  g_blocks_decoded.fetch_add(1, std::memory_order_relaxed);
-  docs_ = std::span<const DocId>(own_docs_);
+  // Entering a block costs the same whichever path serves it (in place,
+  // arena, private decode) — per-query counters must not depend on the
+  // representation in memory or on batch composition.
   if (cost_ != nullptr) {
     cost_->segments_touched++;
     cost_->bytes_touched += 1 + tf_offset_;  // tag + docid section
@@ -783,13 +882,14 @@ void CompressedPostingList::Iterator::LoadBlock(size_t block) {
 
 void CompressedPostingList::Iterator::LoadTfs() const {
   tfs_loaded_ = true;
-  if (at_end_ || docs_.empty()) {
+  if (at_end_) {
     own_tfs_.clear();
     tfs_ = {};
     return;
   }
   std::string_view raw = BlockBytes(block_);
-  if (DecodedBlockArena* arena = DecodedBlockArena::Active()) {
+  if (DecodedBlockArena* arena = DecodedBlockArena::Active();
+      arena != nullptr && !in_place_) {
     if (const DecodedBlockArena::Entry* e = arena->GetTfs(list_, block_)) {
       tfs_ = std::span<const uint32_t>(e->tfs);
       if (cost_ != nullptr) {
@@ -811,21 +911,69 @@ void CompressedPostingList::Iterator::LoadTfs() const {
   }
 }
 
+size_t CompressedPostingList::Iterator::InPlaceRank() const {
+  if (!rank_ok_) {
+    rank_ = view_.Rank(off_);
+    rank_ok_ = true;
+  }
+  return rank_;
+}
+
+inline bool CompressedPostingList::Iterator::SeekBit(uint32_t from) {
+  if (from >= view_.range) return false;
+  word_idx_ = from >> 6;
+  word_ = view_.Word(word_idx_) & (~uint64_t{0} << (from & 63));
+  return SettleBit();
+}
+
+inline bool CompressedPostingList::Iterator::SettleBit() {
+  // Bits past `range` read as zero (MakeView checked the last byte), so
+  // the scan needs no range clamp.
+  const uint32_t nwords = (view_.range + 63) >> 6;
+  while (word_ == 0) {
+    if (++word_idx_ >= nwords) return false;
+    word_ = view_.Word(word_idx_);
+  }
+  off_ = word_idx_ * 64 + static_cast<uint32_t>(std::countr_zero(word_));
+  doc_ = view_.first + off_;
+  return true;
+}
+
+void CompressedPostingList::Iterator::SeekInPlace(DocId target) {
+  rank_ok_ = false;
+  if (SeekBit(target - view_.first)) return;
+  // Only reachable when the block metadata claims a max_doc past the
+  // bitmap's last posting: continue in the next block, whose docids all
+  // exceed this block's max_doc >= target.
+  NextBlock();
+}
+
+void CompressedPostingList::Iterator::NextBlock() {
+  if (block_ + 1 >= list_->blocks_.size()) {
+    at_end_ = true;
+    return;
+  }
+  LoadBlock(block_ + 1);
+}
+
 void CompressedPostingList::Iterator::Next() {
   if (cost_ != nullptr) cost_->entries_scanned++;
-  ++pos_;
-  if (pos_ >= docs_.size()) {
-    if (block_ + 1 >= list_->blocks_.size()) {
-      at_end_ = true;
+  if (in_place_) {
+    word_ &= word_ - 1;  // drop the current posting's bit
+    if (SettleBit()) {
+      ++rank_;  // meaningful only while rank_ok_
       return;
     }
-    LoadBlock(block_ + 1);
+  } else if (++pos_ < docs_.size()) {
+    doc_ = docs_[pos_];
+    return;
   }
+  NextBlock();
 }
 
 void CompressedPostingList::Iterator::SkipTo(DocId target) {
   if (at_end_) return;
-  if (docs_[pos_] >= target) return;
+  if (doc_ >= target) return;
 
   const auto& blocks = list_->blocks_;
   if (blocks[block_].max_doc < target) {
@@ -849,12 +997,19 @@ void CompressedPostingList::Iterator::SkipTo(DocId target) {
     }
     size_t next = static_cast<size_t>(it - blocks.begin());
     if (cost_ != nullptr) cost_->blocks_skipped += next - block_ - 1;
-    LoadBlock(next);
+    LoadBlock(next, target);
     if (at_end_) return;  // poisoned by a decode failure
   }
 
-  if (docs_[pos_] >= target) {
+  if (doc_ >= target) {
     if (cost_ != nullptr) cost_->entries_scanned++;
+    return;
+  }
+  if (in_place_) {
+    // One word scan from the target's bit: O(1) at the densities kAuto
+    // bitmaps (at most 32 docids per posting).
+    if (cost_ != nullptr) cost_->entries_scanned++;
+    SeekInPlace(target);
     return;
   }
   // Gallop within the decoded buffer; docs_[pos_] < target and the
@@ -876,18 +1031,30 @@ void CompressedPostingList::Iterator::SkipTo(DocId target) {
       hi = mid;
     }
   }
-  pos_ = lo;
   if (cost_ != nullptr) cost_->entries_scanned += probes;
+  pos_ = lo;
+  if (pos_ < docs_.size()) {
+    doc_ = docs_[pos_];
+  } else {
+    NextBlock();  // max_doc overstated the block: see SeekInPlace
+  }
 }
 
 void CompressedPostingList::Iterator::MergeTo(DocId target) {
-  while (!at_end_ && docs_[pos_] < target) {
-    if (pos_ + 1 < docs_.size()) {
-      ++pos_;
+  const auto& blocks = list_->blocks_;
+  while (!at_end_ && doc_ < target) {
+    if (in_place_ && blocks[block_].max_doc >= target) {
+      // The word scan is the bitmap's linear step.
       if (cost_ != nullptr) cost_->entries_scanned++;
-    } else if (block_ + 1 < list_->blocks_.size() &&
-               list_->blocks_[block_ + 1].max_doc >= target) {
-      LoadBlock(block_ + 1);
+      SeekInPlace(target);
+      return;
+    }
+    if (!in_place_ && pos_ + 1 < docs_.size()) {
+      doc_ = docs_[++pos_];
+      if (cost_ != nullptr) cost_->entries_scanned++;
+    } else if (block_ + 1 < blocks.size() &&
+               blocks[block_ + 1].max_doc >= target) {
+      LoadBlock(block_ + 1, target);
       if (cost_ != nullptr) cost_->entries_scanned++;
     } else {
       // Either exhausted or the next block(s) lie entirely below target:

@@ -2,8 +2,10 @@
 #define CSR_INDEX_CODEC_H_
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
@@ -105,14 +107,21 @@ class ForBlockCodec {
 ///   ceil(count * tf_bits / 8) bytes of LSB-first packed tfs (doc order)
 ///
 /// `range` = last docid - base, so the bitmap covers (base, last] with no
-/// slack. Selection (kAuto) is purely by encoded size, which makes the
-/// break-even analytic: the bitmap wins when the block density
-/// count/range exceeds roughly doc_bits/8 bits-per-slot of FOR.
+/// slack. kAuto picks it for two reasons: it is the smallest encoding (the
+/// block density count/range exceeds roughly doc_bits/8 bits-per-slot of
+/// FOR), or the block is docid-only (every tf is 1) and the bitmap body
+/// costs at most 4 bytes per posting (range <= kDocidOnlyRangePerPosting *
+/// count). Iterators serve bitmap blocks in place, without decoding, so
+/// the second rule trades a bounded amount of space for decode-free
+/// probes into dense predicate lists.
 class BitmapBlockCodec {
  public:
   /// Densest range the codec will bitmap (guards pathological forced
   /// encodes; kAuto is additionally size-gated so it never gets close).
   static constexpr uint32_t kMaxRange = 1u << 20;
+
+  /// kAuto bitmaps a docid-only block whenever range <= this * count.
+  static constexpr uint32_t kDocidOnlyRangePerPosting = 32;
 
   /// SIZE_MAX when the block cannot be bitmapped (empty or range beyond
   /// kMaxRange); otherwise the exact encoded body size for auto-selection.
@@ -131,10 +140,11 @@ class BitmapBlockCodec {
   static Status DecodeTfs(std::string_view in, size_t tf_offset,
                           size_t count, std::vector<uint32_t>& tfs);
 
-  /// Zero-copy view of the bitmap section for the block-wise intersection
-  /// kernels: membership of docid d is bit (d - first) for d in
-  /// [first, first + range). Validates the header and section bounds but
-  /// not the population (the strict Decode path does).
+  /// Zero-copy view of the bitmap section for in-place iteration and the
+  /// block-wise intersection kernels: membership of docid d is bit
+  /// (d - first) for d in [first, first + range). MakeView validates in
+  /// O(1): the header, the section bounds, and that no bit is set past
+  /// `range` — but not the population (CheckPopulation).
   struct View {
     const uint8_t* bits = nullptr;
     uint32_t range = 0;
@@ -143,8 +153,32 @@ class BitmapBlockCodec {
       uint32_t off = d - first;  // wraps for d < first; range check catches
       return off < range && (bits[off >> 3] >> (off & 7)) & 1;
     }
+    /// Bits [64 * i, 64 * i + 64) of the bitmap, LSB first; bytes past the
+    /// bitmap section read as zero.
+    uint64_t Word(uint32_t i) const {
+      const size_t nbytes = (static_cast<size_t>(range) + 7) / 8;
+      const size_t byte = static_cast<size_t>(i) * 8;
+      if (byte >= nbytes) return 0;
+      uint64_t w = 0;
+      if (std::endian::native == std::endian::little && nbytes - byte >= 8) {
+        std::memcpy(&w, bits + byte, 8);
+      } else {
+        for (size_t k = 0; k < 8 && byte + k < nbytes; ++k) {
+          w |= static_cast<uint64_t>(bits[byte + k]) << (8 * k);
+        }
+      }
+      return w;
+    }
+    /// Number of set bits at offsets below `off` (the posting's index in
+    /// the block, which addresses its tf).
+    uint32_t Rank(uint32_t off) const;
   };
   static Result<View> MakeView(std::string_view in, DocId base);
+
+  /// Exactly `count` bits set, else InvalidArgument. Linear in the bitmap
+  /// bytes, so it runs where bytes enter — the strict Decode path and
+  /// CompressedPostingList::FromParts — not on every in-place block entry.
+  static Status CheckPopulation(const View& v, size_t count);
 };
 
 /// Per-block codec tag (first byte of every encoded block). Persisted
@@ -154,7 +188,9 @@ class BitmapBlockCodec {
 enum class BlockCodec : uint8_t { kVarint = 0, kFor = 1, kBitmap = 2 };
 
 /// How blocks pick their codec. kAuto takes whichever encoding is
-/// smallest per block (varint vs FOR vs bitmap); kBitmapPreferred forces
+/// smallest per block (varint vs FOR vs bitmap), except that a docid-only
+/// block dense enough for the bitmap's 4-bytes-per-posting bound is always
+/// bitmapped (see BitmapBlockCodec); kBitmapPreferred forces
 /// the bitmap whenever the block is bitmappable without blowing past the
 /// uncompressed footprint (representation-matrix tests); the remaining
 /// forced policies exist for the codec ablation bench.
@@ -259,8 +295,16 @@ class DecodedBlockArena {
 struct DecodeTallies {
   uint64_t blocks_decoded = 0;  // docid sections decoded (arena or private)
   uint64_t arena_hits = 0;      // block loads served from an active arena
+  uint64_t blocks_probed_in_place = 0;  // bitmap blocks served undecoded
+                                        // (added when the iterator dies)
 };
 DecodeTallies SnapshotDecodeTallies();
+
+/// Test hook: while false, newly constructed iterators route bitmap blocks
+/// through the decode path (docid expansion into the iterator,
+/// DecodedBlockArena) instead of serving them in place, so tests can run
+/// the two paths differentially. Default true.
+void SetInPlaceBitmapServingForTest(bool enabled);
 
 /// An immutable, block-compressed posting list with a per-block skip
 /// table carrying block-max metadata (max docid AND max tf per block, the
@@ -292,8 +336,10 @@ class CompressedPostingList {
 
   /// Reassembles a list from persisted parts WITHOUT re-encoding (the
   /// snapshot load path). Validates the block metadata invariants
-  /// (monotone offsets and docids, counts summing to num_postings);
-  /// corrupt metadata is InvalidArgument.
+  /// (monotone offsets and docids, counts summing to num_postings), the
+  /// codec tags, and every bitmap block's header and population (bitmap
+  /// blocks are served in place, never strictly decoded); corruption is
+  /// InvalidArgument.
   struct Parts {
     uint32_t block_size = kDefaultBlockSize;
     uint64_t num_postings = 0;
@@ -349,22 +395,26 @@ class CompressedPostingList {
   /// Decompresses the whole list (mainly for tests / rebuilds).
   std::vector<Posting> Decode() const;
 
-  /// Iterator decoding one block at a time, with galloping skip support
-  /// mirroring PostingList::Iterator. Only the docid section is decoded on
-  /// block load; the tf section is decoded lazily on the first tf() call
-  /// into the block, so intersections (which never read tfs) pay for
-  /// exactly the bytes they touch. Charges cost per posting probed, per
-  /// section decoded (segments_touched + bytes_touched), and per
+  /// Iterator serving one block at a time, with galloping skip support
+  /// mirroring PostingList::Iterator. Varint and FOR blocks have only their
+  /// docid section decoded on block load; bitmap blocks are not decoded at
+  /// all but served in place — Next/SkipTo/MergeTo scan the bitmap's words
+  /// and tf() addresses the tf section by rank. The tf section is decoded
+  /// lazily on the first tf() call into the block, so intersections (which
+  /// never read tfs) pay for exactly the bytes they touch. Charges cost per
+  /// posting probed, per block entered (segments_touched + the docid
+  /// section's bytes_touched, the same for both paths), and per
   /// cross-block jump (skips_taken).
   class Iterator {
    public:
     Iterator(const CompressedPostingList* list, CostCounters* cost);
 
     bool AtEnd() const { return at_end_; }
-    DocId doc() const { return docs_[pos_]; }
+    DocId doc() const { return doc_; }
     uint32_t tf() const {
       if (!tfs_loaded_) LoadTfs();
-      return pos_ < tfs_.size() ? tfs_[pos_] : 0;
+      const size_t i = in_place_ ? InPlaceRank() : pos_;
+      return i < tfs_.size() ? tfs_[i] : 0;
     }
     size_t block() const { return block_; }
 
@@ -378,16 +428,34 @@ class CompressedPostingList {
     void MergeTo(DocId target);
 
    private:
-    void LoadBlock(size_t block);
+    /// Enters `block`. A bitmap block served in place starts at its first
+    /// posting >= target (target <= the block's max_doc); the decode path
+    /// starts at the block's first posting either way.
+    void LoadBlock(size_t block, DocId target = 0);
+    void NextBlock();  // LoadBlock(block_ + 1), or AtEnd past the last
+    bool LoadInPlace(const BlockMeta& meta, std::string_view raw,
+                     DocId target);
+    void Poison();
     void LoadTfs() const;
+    size_t InPlaceRank() const;
+    /// In-place block: moves to the first set bit at or after `target`
+    /// (target within (doc(), max_doc]).
+    void SeekInPlace(DocId target);
+    /// In-place block: positions on the first set bit at or after bit
+    /// `from` (SeekBit) or at or after the current word state
+    /// (SettleBit); false when the block has no such posting.
+    bool SeekBit(uint32_t from);
+    bool SettleBit();
     std::string_view BlockBytes(size_t block) const;
 
     const CompressedPostingList* list_;
     CostCounters* cost_;
-    // The current block's decoded sections. The spans view either this
-    // iterator's own storage (own_docs_/own_tfs_) or a shared entry in
-    // the thread's active DecodedBlockArena; the arena outlives every
-    // iterator of its batch, so the views stay valid across Next/SkipTo.
+    DocId doc_ = 0;  // the current posting's docid, whichever path serves
+    // Decode path: the current block's decoded sections. The spans view
+    // either this iterator's own storage (own_docs_/own_tfs_) or a shared
+    // entry in the thread's active DecodedBlockArena; the arena outlives
+    // every iterator of its batch, so the views stay valid across
+    // Next/SkipTo.
     std::vector<DocId> own_docs_;
     std::span<const DocId> docs_;
     mutable std::vector<uint32_t> own_tfs_;
@@ -396,6 +464,38 @@ class CompressedPostingList {
     size_t tf_offset_ = 0;  // tf section offset within the block body
     size_t block_ = 0;
     size_t pos_ = 0;
+    // In-place path (bitmap blocks): the current posting is bit `off_` of
+    // `view_`, the lowest set bit of `word_` (bitmap word `word_idx_`
+    // with the bits below the posting cleared); its rank is computed on
+    // the first tf() after a seek and then carried along by Next.
+    bool in_place_ok_;  // SetInPlaceBitmapServingForTest at construction
+    bool in_place_ = false;
+    // In-place block entries not yet added to the process-wide tally: one
+    // relaxed atomic add per iterator instead of one per block (a
+    // lock-prefixed add costs about as much as the block entry itself).
+    // Moving hands the count over, a copy starts at 0, destruction adds it.
+    struct PendingTally {
+      uint64_t n = 0;
+      PendingTally() = default;
+      PendingTally(const PendingTally&) {}
+      PendingTally(PendingTally&& o) noexcept : n(o.n) { o.n = 0; }
+      PendingTally& operator=(const PendingTally&) { return *this; }
+      PendingTally& operator=(PendingTally&& o) noexcept {
+        Flush();
+        n = o.n;
+        o.n = 0;
+        return *this;
+      }
+      ~PendingTally() { Flush(); }
+      void Flush();
+    };
+    PendingTally in_place_loads_;
+    BitmapBlockCodec::View view_;
+    uint64_t word_ = 0;
+    uint32_t word_idx_ = 0;
+    uint32_t off_ = 0;
+    mutable uint32_t rank_ = 0;
+    mutable bool rank_ok_ = false;
     bool at_end_ = false;
   };
 

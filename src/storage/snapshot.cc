@@ -174,11 +174,13 @@ class ViewSerializer {
     w.PutVarint(v.options_.year_bucket_size);
     w.PutU32(v.num_tracked_);
     w.PutVarint(v.NumTuples());
-    auto put_row = [&](const MaterializedView::TupleKey& key, uint64_t count,
-                       uint64_t sum_len, std::span<const uint32_t> df,
+    auto put_row = [&](uint16_t bucket, std::span<const uint64_t> sig,
+                       uint64_t count, uint64_t sum_len,
+                       std::span<const uint32_t> df,
                        std::span<const uint32_t> tc) {
-      w.PutVarint(key.bucket);
-      w.PutVarintVector(key.sig.raw_words());
+      w.PutVarint(bucket);
+      w.PutVarint(sig.size());
+      for (uint64_t x : sig) w.PutVarint(x);
       w.PutVarint(count);
       w.PutVarint(sum_len);
       w.PutVarint(df.size());
@@ -189,16 +191,17 @@ class ViewSerializer {
     if (v.compacted_) {
       const MaterializedView::FlatRows& f = v.flat_;
       size_t stride = v.num_tracked_;
-      for (size_t r = 0; r < f.keys.size(); ++r) {
+      for (size_t r = 0; r < f.size(); ++r) {
         std::span<const uint32_t> df;
         std::span<const uint32_t> tc;
         if (!f.df.empty()) df = {f.df.data() + r * stride, stride};
         if (!f.tc.empty()) tc = {f.tc.data() + r * stride, stride};
-        put_row(f.keys[r], f.counts[r], f.sum_lens[r], df, tc);
+        put_row(f.bucket(r), f.sig(r), f.counts[r], f.sum_lens[r], df, tc);
       }
     } else {
       for (const auto& [key, row] : v.rows_) {
-        put_row(key, row.count, row.sum_len, row.df, row.tc);
+        put_row(key.bucket, key.sig.raw_words(), row.count, row.sum_len,
+                row.df, row.tc);
       }
     }
   }
@@ -228,6 +231,11 @@ class ViewSerializer {
       CSR_RETURN_NOT_OK(r.GetVarintVector(&words));
       if (words.size() != expected_words) {
         return Status::InvalidArgument("corrupt view row signature");
+      }
+      // Without a time dimension every row sits in bucket 0 (the compacted
+      // row store does not even keep the column).
+      if (bucket != 0 && options.year_bucket_size == 0) {
+        return Status::InvalidArgument("corrupt view row bucket");
       }
       MaterializedView::Row row;
       CSR_RETURN_NOT_OK(r.GetVarint(&row.count));

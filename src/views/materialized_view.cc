@@ -57,8 +57,8 @@ void MaterializedView::MergeFrom(const MaterializedView& other) {
   };
   if (other.compacted_) {
     const FlatRows& f = other.flat_;
-    for (size_t r = 0; r < f.keys.size(); ++r) {
-      upsert(f.keys[r], f.counts[r], f.sum_lens[r],
+    for (size_t r = 0; r < f.size(); ++r) {
+      upsert(f.key(r), f.counts[r], f.sum_lens[r],
              f.df.empty() ? nullptr : f.df.data() + r * num_tracked_,
              f.tc.empty() ? nullptr : f.tc.data() + r * num_tracked_);
     }
@@ -121,11 +121,12 @@ MaterializedView::StatsResult MaterializedView::ComputeStats(
   }
 
   // Full scan of the view (Theorem 4.2), over whichever row store is live.
-  auto fold = [&](const TupleKey& key, uint64_t count, uint64_t sum_len,
-                  const uint32_t* df_row, const uint32_t* tc_row) {
+  auto fold = [&](uint16_t bucket, std::span<const uint64_t> sig,
+                  uint64_t count, uint64_t sum_len, const uint32_t* df_row,
+                  const uint32_t* tc_row) {
     if (cost != nullptr) cost->view_tuples_scanned++;
-    if (key.bucket < bucket_lo || key.bucket > bucket_hi) return;
-    if (!key.sig.ContainsAll(mask)) return;
+    if (bucket < bucket_lo || bucket > bucket_hi) return;
+    if (!BitSignature::ContainsAll(sig, mask.raw_words())) return;
     out.cardinality += count;
     out.total_length += sum_len;
     for (size_t i = 0; i < keywords.size(); ++i) {
@@ -139,14 +140,14 @@ MaterializedView::StatsResult MaterializedView::ComputeStats(
     }
   };
   if (compacted_) {
-    for (size_t r = 0; r < flat_.keys.size(); ++r) {
-      fold(flat_.keys[r], flat_.counts[r], flat_.sum_lens[r],
+    for (size_t r = 0; r < flat_.size(); ++r) {
+      fold(flat_.bucket(r), flat_.sig(r), flat_.counts[r], flat_.sum_lens[r],
            flat_.df.empty() ? nullptr : flat_.df.data() + r * num_tracked_,
            flat_.tc.empty() ? nullptr : flat_.tc.data() + r * num_tracked_);
     }
   } else {
     for (const auto& [key, row] : rows_) {
-      fold(key, row.count, row.sum_len,
+      fold(key.bucket, key.sig.raw_words(), row.count, row.sum_len,
            row.df.empty() ? nullptr : row.df.data(),
            row.tc.empty() ? nullptr : row.tc.data());
     }
@@ -175,14 +176,20 @@ void MaterializedView::Compact() {
   });
 
   size_t n = sorted.size();
-  flat_.keys.reserve(n);
+  flat_.sig_words = BitSignature(def_.num_columns()).num_words();
+  flat_.key_words.reserve(n * flat_.sig_words);
+  if (options_.year_bucket_size > 0) flat_.buckets.reserve(n);
   flat_.counts.reserve(n);
   flat_.sum_lens.reserve(n);
   if (options_.track_df) flat_.df.reserve(n * num_tracked_);
   if (options_.track_tc) flat_.tc.reserve(n * num_tracked_);
   for (const auto* kv : sorted) {
     const Row& row = kv->second;
-    flat_.keys.push_back(kv->first);
+    const std::vector<uint64_t>& words = kv->first.sig.raw_words();
+    flat_.key_words.insert(flat_.key_words.end(), words.begin(), words.end());
+    if (options_.year_bucket_size > 0) {
+      flat_.buckets.push_back(kv->first.bucket);
+    }
     flat_.counts.push_back(row.count);
     flat_.sum_lens.push_back(row.sum_len);
     if (options_.track_df) {
@@ -206,9 +213,9 @@ void MaterializedView::Compact() {
 
 void MaterializedView::Uncompact() {
   if (!compacted_) return;
-  rows_.reserve(flat_.keys.size());
-  for (size_t r = 0; r < flat_.keys.size(); ++r) {
-    Row& row = rows_[flat_.keys[r]];
+  rows_.reserve(flat_.size());
+  for (size_t r = 0; r < flat_.size(); ++r) {
+    Row& row = rows_[flat_.key(r)];
     row.count = flat_.counts[r];
     row.sum_len = flat_.sum_lens[r];
     if (!flat_.df.empty()) {
@@ -225,17 +232,16 @@ void MaterializedView::Uncompact() {
 }
 
 uint64_t MaterializedView::MemoryBytes() const {
+  if (compacted_) {
+    return (flat_.key_words.size() + flat_.counts.size() +
+            flat_.sum_lens.size()) *
+               sizeof(uint64_t) +
+           flat_.buckets.size() * sizeof(uint16_t) +
+           (flat_.df.size() + flat_.tc.size()) * sizeof(uint32_t);
+  }
   uint64_t sig_bytes = 0;
   if (NumTuples() > 0) {
-    sig_bytes = (compacted_ ? flat_.keys.front().sig : rows_.begin()->first.sig)
-                    .raw_words()
-                    .size() *
-                sizeof(uint64_t);
-  }
-  if (compacted_) {
-    return flat_.keys.size() * (sizeof(TupleKey) + sig_bytes +
-                                sizeof(uint64_t) * 2) +
-           (flat_.df.size() + flat_.tc.size()) * sizeof(uint32_t);
+    sig_bytes = rows_.begin()->first.sig.raw_words().size() * sizeof(uint64_t);
   }
   uint64_t bytes = 0;
   for (const auto& [key, row] : rows_) {

@@ -91,7 +91,7 @@ class MaterializedView {
 
   /// Number of non-empty tuples (the paper's ViewSize).
   size_t NumTuples() const {
-    return compacted_ ? flat_.keys.size() : rows_.size();
+    return compacted_ ? flat_.size() : rows_.size();
   }
 
   /// Deep copy. MaterializedView is move-only (accidental copies of a
@@ -109,10 +109,10 @@ class MaterializedView {
   void MergeFrom(const MaterializedView& other);
 
   /// Converts the hash-map row store into flat column arenas sorted by
-  /// tuple key: one contiguous parameter block instead of two heap vectors
-  /// per row. ComputeStats serves either representation identically (the
-  /// scan is full either way); AddDocument on a compacted view lazily
-  /// un-compacts first. Idempotent.
+  /// tuple key: one contiguous key-word block and one contiguous parameter
+  /// block instead of three heap vectors per row. ComputeStats serves
+  /// either representation identically (the scan is full either way);
+  /// AddDocument on a compacted view lazily un-compacts first. Idempotent.
   void Compact();
   bool compacted() const { return compacted_; }
 
@@ -159,14 +159,33 @@ class MaterializedView {
     }
   };
 
-  /// Compacted row store: structure-of-arrays with df/tc packed row-major
-  /// into one arena each (stride num_tracked_).
+  /// Compacted row store: structure-of-arrays. Tuple keys are split into
+  /// one signature-word arena (sig_words per row, row-major) and a bucket
+  /// column that is kept only when the view has a time dimension (every
+  /// bucket is 0 otherwise); df/tc are packed row-major into one arena
+  /// each (stride num_tracked_).
   struct FlatRows {
-    std::vector<TupleKey> keys;
+    size_t sig_words = 0;
+    std::vector<uint64_t> key_words;
+    std::vector<uint16_t> buckets;
     std::vector<uint64_t> counts;
     std::vector<uint64_t> sum_lens;
     std::vector<uint32_t> df;
     std::vector<uint32_t> tc;
+
+    size_t size() const { return counts.size(); }
+    std::span<const uint64_t> sig(size_t r) const {
+      return {key_words.data() + r * sig_words, sig_words};
+    }
+    uint16_t bucket(size_t r) const {
+      return buckets.empty() ? 0 : buckets[r];
+    }
+    TupleKey key(size_t r) const {
+      std::span<const uint64_t> w = sig(r);
+      return TupleKey{
+          BitSignature::FromWords(std::vector<uint64_t>(w.begin(), w.end())),
+          bucket(r)};
+    }
   };
 
   /// Rebuilds rows_ from flat_ (incremental maintenance needs keyed

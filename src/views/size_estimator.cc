@@ -72,17 +72,14 @@ uint64_t ViewSizeEstimator::Exact(const ViewDefinition& def) const {
 uint64_t ViewSizeEstimator::BytesPerTuple(uint32_t keyword_columns,
                                           const ViewParamOptions& options,
                                           uint32_t num_tracked) {
-  // One payload word per 64 keyword columns, matching BitSignature's
-  // bitmap blocks. The tuple key is the signature's inline header (a
-  // std::vector) plus the year bucket, padded to the vector's alignment —
-  // TupleKey itself is private to MaterializedView, so the cross-check
-  // test pins this model against actual Compact() MemoryBytes.
+  // One signature word per 64 keyword columns in the compacted key arena,
+  // plus a 2-byte bucket column only when the view has a time dimension —
+  // the compacted layout is private to MaterializedView, so the
+  // cross-check test pins this model against actual Compact() MemoryBytes.
   uint64_t sig_words = (static_cast<uint64_t>(keyword_columns) + 63) / 64;
-  uint64_t key_bytes =
-      (sizeof(BitSignature) + sizeof(uint16_t) + alignof(BitSignature) - 1) &
-      ~(static_cast<uint64_t>(alignof(BitSignature)) - 1);
-  uint64_t bytes = key_bytes + sig_words * sizeof(uint64_t) +
-                   2 * sizeof(uint64_t);  // count + sum_len columns
+  uint64_t key_bytes = sig_words * sizeof(uint64_t);
+  if (options.year_bucket_size > 0) key_bytes += sizeof(uint16_t);
+  uint64_t bytes = key_bytes + 2 * sizeof(uint64_t);  // count + sum_len
   if (options.track_df) bytes += sizeof(uint32_t) * uint64_t{num_tracked};
   if (options.track_tc) bytes += sizeof(uint32_t) * uint64_t{num_tracked};
   return bytes;

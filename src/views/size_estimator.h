@@ -42,10 +42,10 @@ class ViewSizeEstimator {
   /// Modeled resident bytes per COMPACTED tuple for a view with
   /// `keyword_columns` columns under `options` tracking `num_tracked`
   /// slots. Mirrors MaterializedView::MemoryBytes of the flat row store:
-  /// the tuple-key struct, the signature payload words (one 64-bit word
-  /// per 64 keyword columns — the bitmap-block representation), the two
-  /// 8-byte aggregate columns, and one 4-byte cell per tracked slot per
-  /// enabled df/tc column. All arithmetic is 64-bit: with ~1k tracked
+  /// the signature words in the key arena (one 64-bit word per 64 keyword
+  /// columns), a 2-byte bucket cell when the view has a time dimension,
+  /// the two 8-byte aggregate columns, and one 4-byte cell per tracked
+  /// slot per enabled df/tc column. All arithmetic is 64-bit: with ~1k tracked
   /// slots one tuple already costs ~8 KiB, so a 32-bit product overflows
   /// past ~500k tuples. Cross-checked against actual Compact() bytes in
   /// the views test lane so the constants cannot silently rot.

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "index/codec.h"
 #include "index/intersection.h"
@@ -388,6 +391,272 @@ TEST(CompressedListTest, LazyTfChargesBytesOnlyWhenRead) {
   EXPECT_EQ(tf_sum, compressed.total_tf());
   EXPECT_LT(docs_only.bytes_touched, with_tfs.bytes_touched);
   EXPECT_EQ(with_tfs.bytes_touched, compressed.raw_bytes().size());
+}
+
+// -- In-place bitmap serving vs the decode path ------------------------------
+//
+// kAuto bitmaps dense docid-only blocks and iterators serve bitmap blocks in
+// place (word scan, tf by rank). Drive an in-place iterator and a
+// decode-path iterator over the same list through identical operations:
+// every observable — doc/tf/AtEnd, the block-max probe, and the per-block
+// cost charges — must agree.
+
+std::vector<Posting> RandomPostings(SplitMix64& rng, DocId first,
+                                    uint32_t universe, double density,
+                                    double docid_only_frac) {
+  std::vector<Posting> out;
+  bool docid_only = true;
+  for (DocId d = first; d < universe; ++d) {
+    if (d % 512 == 0) docid_only = rng.NextBool(docid_only_frac);
+    if (!rng.NextBool(density)) continue;
+    out.push_back({d, docid_only ? 1u : 1 + static_cast<uint32_t>(
+                                                rng.NextBounded(4))});
+  }
+  return out;
+}
+
+struct InPlaceCase {
+  std::string name;
+  std::vector<Posting> postings;
+  uint32_t block_size;
+};
+
+std::vector<InPlaceCase> InPlaceCases() {
+  std::vector<InPlaceCase> cases;
+  SplitMix64 rng(71);
+  for (uint32_t block : {1u, 16u, 128u}) {
+    const std::string b = "/b" + std::to_string(block);
+    // Docid-only at predicate-list density, starting at docid 0: the first
+    // block cannot be bitmapped (bit 0 is docid base + 1).
+    std::vector<Posting> dense = RandomPostings(rng, 0, 9000, 0.22, 1.0);
+    dense.insert(dense.begin(), Posting{0, 1});
+    if (dense.size() > 1 && dense[1].doc == 0) dense.erase(dense.begin());
+    cases.push_back({"docid_only_dense" + b, dense, block});
+    // Near the 32-docids-per-posting bound: a mix of bitmapped and FOR
+    // blocks within one list.
+    cases.push_back({"docid_only_sparse" + b,
+                     RandomPostings(rng, 3, 30000, 0.035, 1.0), block});
+    // Mixed tf: docid-only runs alternate with runs of tf > 1.
+    cases.push_back({"mixed_tf" + b,
+                     RandomPostings(rng, 1, 12000, 0.3, 0.5), block});
+  }
+  return cases;
+}
+
+// Cost charges that depend on block entry alone (the §3.2 counters);
+// entries_scanned counts probes, which legitimately differ by path.
+void ExpectSameCharges(const CostCounters& a, const CostCounters& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.segments_touched, b.segments_touched) << what;
+  EXPECT_EQ(a.bytes_touched, b.bytes_touched) << what;
+}
+
+class PathPair {
+ public:
+  explicit PathPair(const CompressedPostingList& list)
+      : list_(list),
+        in_place_(list.MakeIterator(&in_place_cost_)),
+        decoded_(MakeDecodePath(list, &decoded_cost_)) {}
+
+  template <typename Op>
+  void Apply(Op op, const std::string& what) {
+    op(in_place_);
+    op(decoded_);
+    ASSERT_EQ(in_place_.AtEnd(), decoded_.AtEnd()) << what;
+    ExpectSameCharges(in_place_cost_, decoded_cost_, what);
+    if (in_place_.AtEnd()) return;
+    ASSERT_EQ(in_place_.doc(), decoded_.doc()) << what;
+    ASSERT_EQ(in_place_.block(), decoded_.block()) << what;
+    EXPECT_EQ(in_place_.tf(), decoded_.tf()) << what;
+    ExpectSameCharges(in_place_cost_, decoded_cost_, what + " (tf read)");
+    DocId last_a = 0, last_b = 0;
+    uint32_t tf_a = 0, tf_b = 0;
+    const DocId probe = in_place_.doc() + 1;
+    const bool ba = list_.BlockBound(probe, in_place_.block(), &last_a, &tf_a);
+    const bool bb = list_.BlockBound(probe, decoded_.block(), &last_b, &tf_b);
+    EXPECT_EQ(ba, bb) << what;
+    EXPECT_EQ(last_a, last_b) << what;
+    EXPECT_EQ(tf_a, tf_b) << what;
+  }
+
+  bool AtEnd() const { return in_place_.AtEnd(); }
+
+ private:
+  static CompressedPostingList::Iterator MakeDecodePath(
+      const CompressedPostingList& list, CostCounters* cost) {
+    SetInPlaceBitmapServingForTest(false);
+    auto it = list.MakeIterator(cost);
+    SetInPlaceBitmapServingForTest(true);
+    return it;
+  }
+
+  const CompressedPostingList& list_;
+  CostCounters in_place_cost_;
+  CostCounters decoded_cost_;
+  CompressedPostingList::Iterator in_place_;
+  CompressedPostingList::Iterator decoded_;
+};
+
+TEST(InPlaceBitmapTest, KAutoBitmapsDenseDocidOnlyBlocks) {
+  for (const InPlaceCase& c : InPlaceCases()) {
+    auto auto_list = CompressedPostingList::FromPostings(c.postings,
+                                                         c.block_size);
+    auto for_list = CompressedPostingList::FromPostings(
+        c.postings, c.block_size, CodecPolicy::kForOnly);
+    EXPECT_EQ(auto_list.Decode(), c.postings) << c.name;
+    EXPECT_EQ(for_list.Decode(), c.postings) << c.name;
+    // Which blocks the rule must bitmap: docid-only, not starting at
+    // docid 0, range within 32 docids per posting.
+    uint64_t want_bitmaps = 0;
+    for (size_t b = 0; b < auto_list.num_blocks(); ++b) {
+      const auto& m = auto_list.blocks()[b];
+      const size_t first = b * c.block_size;
+      bool docid_only = true;
+      for (size_t i = first; i < first + m.count; ++i) {
+        docid_only &= c.postings[i].tf == 1;
+      }
+      const bool rule = docid_only && c.postings[first].doc > m.base &&
+                        m.max_doc - m.base <= 32ull * m.count;
+      if (rule) {
+        ++want_bitmaps;
+        EXPECT_EQ(auto_list.BlockCodecTag(b), BlockCodec::kBitmap)
+            << c.name << " block " << b;
+      }
+    }
+    if (c.name.rfind("docid_only_dense", 0) == 0) {
+      EXPECT_NE(auto_list.BlockCodecTag(0), BlockCodec::kBitmap) << c.name;
+      EXPECT_GT(want_bitmaps, 0u) << c.name;
+    }
+    EXPECT_EQ(for_list.codec_block_counts()[2], 0u) << c.name;
+  }
+}
+
+TEST(InPlaceBitmapTest, NextWalkMatchesDecodePath) {
+  const DecodeTallies before = SnapshotDecodeTallies();
+  for (const InPlaceCase& c : InPlaceCases()) {
+    auto list = CompressedPostingList::FromPostings(c.postings, c.block_size);
+    PathPair pair(list);
+    size_t steps = 0;
+    while (!pair.AtEnd()) {
+      pair.Apply([](auto& it) { it.Next(); },
+                 c.name + " step " + std::to_string(steps));
+      ++steps;
+    }
+    EXPECT_EQ(steps, c.postings.size()) << c.name;
+  }
+  // Both paths ran: bitmap blocks were served in place by one iterator of
+  // each pair and decoded by the other.
+  const DecodeTallies after = SnapshotDecodeTallies();
+  EXPECT_GT(after.blocks_probed_in_place, before.blocks_probed_in_place);
+  EXPECT_GT(after.blocks_decoded, before.blocks_decoded);
+}
+
+TEST(InPlaceBitmapTest, SkipAndMergeMatchDecodePathAroundEveryBlock) {
+  for (const InPlaceCase& c : InPlaceCases()) {
+    auto list = CompressedPostingList::FromPostings(c.postings, c.block_size);
+    // Targets before (the inter-block gap and the base itself), inside,
+    // and after (max_doc, max_doc + 1) each block, in increasing order.
+    SplitMix64 rng(list.size());
+    std::vector<DocId> targets;
+    for (const auto& m : list.blocks()) {
+      targets.push_back(m.base);
+      if (m.max_doc > m.base + 1) {
+        targets.push_back(m.base + 1 +
+                          static_cast<DocId>(rng.NextBounded(
+                              m.max_doc - m.base - 1)));
+      }
+      targets.push_back(m.max_doc);
+      targets.push_back(m.max_doc + 1);
+    }
+    std::sort(targets.begin(), targets.end());
+    for (int op = 0; op < 3; ++op) {
+      PathPair pair(list);
+      for (size_t i = 0; i < targets.size() && !pair.AtEnd(); ++i) {
+        const DocId t = targets[i];
+        const std::string what = c.name + " op " + std::to_string(op) +
+                                 " target " + std::to_string(t);
+        if (op == 0) {
+          pair.Apply([t](auto& it) { it.SkipTo(t); }, what);
+        } else if (op == 1) {
+          pair.Apply([t](auto& it) { it.MergeTo(t); }, what);
+        } else {
+          // Interleave: skip, then step past the hit.
+          pair.Apply([t](auto& it) { it.SkipTo(t); }, what);
+          if (!pair.AtEnd()) {
+            pair.Apply([](auto& it) { it.Next(); }, what + " next");
+          }
+        }
+      }
+    }
+  }
+}
+
+// Bitmap damage. Persisted bytes enter through FromParts, which checks
+// every bitmap block's header and population — damage there is a typed
+// load failure (the snapshot loader rebuilds). Damage to an in-memory
+// image after that point must poison both iterator paths at the same block.
+TEST(InPlaceBitmapTest, CorruptBitmapRejectedAtLoadAndPoisonsIterators) {
+  std::vector<Posting> postings;
+  for (DocId d = 5; d < 6000; d += 3) postings.push_back({d, 1});
+  auto build = [&] { return CompressedPostingList::FromPostings(postings, 60); };
+  const CompressedPostingList list = build();
+  ASSERT_EQ(list.codec_block_counts()[2], list.num_blocks());
+  const size_t victim = list.num_blocks() / 2;
+  const auto& m = list.blocks()[victim];
+  const size_t bm_start = m.offset + 1 + 5;  // tag, tf_bits, u32 range
+  const uint32_t range = m.max_doc - m.base;
+  ASSERT_NE(range % 8, 0u) << "need spare bits in the last bitmap byte";
+
+  using Damage = std::function<void(std::string&)>;
+  const Damage extra_posting = [&](std::string& b) {
+    b[bm_start] |= char(1 << 1);  // docid base + 2 is absent (5 + 3k)
+  };
+  const Damage past_range = [&](std::string& b) {
+    b[bm_start + (range - 1) / 8] |= char(0x80);
+  };
+  const Damage bad_range = [&](std::string& b) {
+    b[m.offset + 1 + 4] = char(0xFF);  // beyond BitmapBlockCodec::kMaxRange
+  };
+  const Damage emptied = [&](std::string& b) {
+    for (size_t i = 0; i < (range + 7) / 8; ++i) b[bm_start + i] = 0;
+  };
+
+  for (const Damage& damage : {extra_posting, past_range, bad_range, emptied}) {
+    CompressedPostingList::Parts parts;
+    parts.block_size = list.block_size();
+    parts.num_postings = list.size();
+    parts.total_tf = list.total_tf();
+    parts.max_tf = list.max_tf();
+    parts.blocks.assign(list.blocks().begin(), list.blocks().end());
+    parts.bytes = list.raw_bytes();
+    damage(parts.bytes);
+    auto r = CompressedPostingList::FromParts(std::move(parts));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+
+  // In-memory damage the O(1) block-entry checks catch (the population is
+  // a load-time check): header, bits past the range, an empty bitmap.
+  size_t k = 0;
+  for (const Damage& damage : {past_range, bad_range, emptied}) {
+    CompressedPostingList damaged = build();
+    damage(const_cast<std::string&>(damaged.raw_bytes()));
+    PathPair pair(damaged);
+    size_t steps = 0;
+    while (!pair.AtEnd()) {
+      pair.Apply([](auto& it) { it.Next(); }, "damage " + std::to_string(k));
+      ++steps;
+    }
+    // Both paths stop where the damaged block begins.
+    EXPECT_EQ(steps, victim * 60) << "damage " << k;
+
+    PathPair skipper(damaged);
+    skipper.Apply([&](auto& it) { it.SkipTo(m.base + 1); },
+                  "damage skip " + std::to_string(k));
+    EXPECT_TRUE(skipper.AtEnd()) << "damage " << k;
+    ++k;
+  }
 }
 
 }  // namespace

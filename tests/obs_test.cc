@@ -16,6 +16,7 @@
 
 #include "corpus/generator.h"
 #include "engine/engine.h"
+#include "index/codec.h"
 #include "engine/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -342,6 +343,28 @@ TEST(MetricsExportTest, MetricsDisabledFreezesEngineInstruments) {
       engine->Search(q, EvaluationMode::kContextStraightforward).ok());
   EXPECT_EQ(engine->MetricsSnapshot().counters.at("engine.queries"),
             after_one + 1);
+}
+
+// Posting-block loads by path: kAuto bitmaps the dense root-context
+// predicate lists, so a straightforward context query probes bitmap blocks
+// in place, and the registry reports both tallies from DecodeTallies.
+TEST(MetricsExportTest, BlockLoadTalliesExportedByPath) {
+  auto engine = ContextSearchEngine::Build(ObsCorpus(), {}).value();
+  const MetricsSnapshot before = engine->MetricsSnapshot();
+  ASSERT_EQ(before.counters.count("index.blocks_decoded"), 1u);
+  ASSERT_EQ(before.counters.count("index.blocks_probed_in_place"), 1u);
+  ASSERT_TRUE(engine
+                  ->Search(ObsQuery(*engine, 1),
+                           EvaluationMode::kContextStraightforward)
+                  .ok());
+  const MetricsSnapshot after = engine->MetricsSnapshot();
+  EXPECT_GT(after.counters.at("index.blocks_probed_in_place"),
+            before.counters.at("index.blocks_probed_in_place"));
+  EXPECT_GE(after.counters.at("index.blocks_decoded"),
+            before.counters.at("index.blocks_decoded"));
+  const DecodeTallies t = SnapshotDecodeTallies();
+  EXPECT_GE(t.blocks_probed_in_place,
+            after.counters.at("index.blocks_probed_in_place"));
 }
 
 // ---------------------------------------------------------------- traces

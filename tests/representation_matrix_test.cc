@@ -393,6 +393,116 @@ TEST(RepresentationMatrixTest, SegmentedTopKIdenticalAcrossLevels) {
   ClearUnpackLevelOverride();
 }
 
+// -- In-place bitmap probing: kAuto vs kForOnly engines --------------------
+//
+// kAuto bitmaps every dense docid-only block (all root-context predicate
+// lists) and iterators probe those blocks in place; kForOnly decodes every
+// block. The engines must be indistinguishable: same top-k, bit-identical
+// scores, same result_count and statistics in every mode and ranking, and
+// a posting-scan budget must trip at the same candidate (ScanGuard ticks
+// once per candidate, whatever the block representation).
+
+void ExpectSameResult(const SearchResult& a, const SearchResult& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.top_docs.size(), b.top_docs.size()) << what;
+  for (size_t i = 0; i < a.top_docs.size(); ++i) {
+    EXPECT_EQ(a.top_docs[i].doc, b.top_docs[i].doc) << what << " rank " << i;
+    EXPECT_EQ(a.top_docs[i].score, b.top_docs[i].score)
+        << what << " rank " << i << " (scores must be bit-identical)";
+  }
+  EXPECT_EQ(a.result_count, b.result_count) << what;
+  EXPECT_EQ(a.stats.cardinality, b.stats.cardinality) << what;
+  EXPECT_EQ(a.stats.total_length, b.stats.total_length) << what;
+  EXPECT_EQ(a.stats.df, b.stats.df) << what;
+  EXPECT_EQ(a.stats.tc, b.stats.tc) << what;
+  EXPECT_EQ(a.metrics.used_view, b.metrics.used_view) << what;
+  EXPECT_EQ(a.metrics.degraded, b.metrics.degraded) << what;
+  EXPECT_EQ(a.metrics.degraded_reason, b.metrics.degraded_reason) << what;
+}
+
+TEST(RepresentationMatrixTest, InPlaceBitmapEngineMatchesForOnlyEngine) {
+  CorpusConfig cc;
+  cc.num_docs = 3000;
+  cc.vocab_size = 1500;
+  cc.ontology_fanouts = {4, 3};
+  cc.seed = 37;
+  auto corpus = CorpusGenerator(cc).Generate();
+  ASSERT_TRUE(corpus.ok());
+
+  auto build = [&](CodecPolicy policy, const char* ranking,
+                   uint64_t budget) {
+    EngineConfig cfg;
+    cfg.top_k = 10;
+    cfg.ranking = ranking;
+    cfg.track_tc = true;  // language-model rankings need tc columns
+    cfg.context_threshold_fraction = 0.02;
+    cfg.view_size_threshold = 128;
+    cfg.estimator_sample = 2000;
+    cfg.codec_policy = policy;
+    cfg.posting_scan_budget = budget;
+    auto r = ContextSearchEngine::Build(*corpus, cfg);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    auto engine = std::move(r).value();
+    Status s = engine->SelectAndMaterializeViews();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return engine;
+  };
+  auto query = [&](TermId root, uint32_t j) {
+    TermId w = CorpusGenerator::ConceptTopicalTerm(root, j, cc.vocab_size,
+                                                   cc.topical_window);
+    return ContextQuery{{w, 5 /* common background term */}, {root}};
+  };
+  const EvaluationMode kModes[] = {EvaluationMode::kConventional,
+                                   EvaluationMode::kContextStraightforward,
+                                   EvaluationMode::kContextWithViews};
+
+  const DecodeTallies before = SnapshotDecodeTallies();
+  for (const char* ranking : {"pivoted", "bm25", "dirichlet"}) {
+    auto in_place = build(CodecPolicy::kAuto, ranking, 0);
+    auto decoded = build(CodecPolicy::kForOnly, ranking, 0);
+    ASSERT_GT(in_place->predicate_index().CodecBlockCounts()[2], 0u);
+    ASSERT_EQ(decoded->predicate_index().CodecBlockCounts()[2], 0u);
+    for (TermId root : {0u, 1u, 2u, 3u}) {
+      for (uint32_t j : {0u, 3u}) {
+        for (EvaluationMode mode : kModes) {
+          auto a = in_place->Search(query(root, j), mode);
+          auto b = decoded->Search(query(root, j), mode);
+          ASSERT_TRUE(a.ok()) << a.status().ToString();
+          ASSERT_TRUE(b.ok()) << b.status().ToString();
+          ExpectSameResult(*a, *b,
+                           std::string(ranking) + "/" +
+                               std::string(EvaluationModeName(mode)) +
+                               "/root" + std::to_string(root) + "/j" +
+                               std::to_string(j));
+        }
+      }
+    }
+  }
+  EXPECT_GT(SnapshotDecodeTallies().blocks_probed_in_place,
+            before.blocks_probed_in_place);
+
+  // Budget exhaustion: both engines trip at the same candidate, so the
+  // partial results and the degradation story are identical.
+  auto in_place = build(CodecPolicy::kAuto, "pivoted", 200);
+  auto decoded = build(CodecPolicy::kForOnly, "pivoted", 200);
+  bool saw_degraded = false;
+  for (TermId root : {0u, 1u, 2u, 3u}) {
+    for (EvaluationMode mode : kModes) {
+      auto a = in_place->Search(query(root, 0), mode);
+      auto b = decoded->Search(query(root, 0), mode);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      ExpectSameResult(*a, *b, "budget/" +
+                                   std::string(EvaluationModeName(mode)) +
+                                   "/root" + std::to_string(root));
+      saw_degraded |= a->metrics.degraded;
+    }
+  }
+  EXPECT_TRUE(saw_degraded) << "budget of 200 postings never exhausted";
+  EXPECT_EQ(in_place->degradation().budget_hits.load(),
+            decoded->degradation().budget_hits.load());
+}
+
 // -- Bitmap damage: typed errors, never UB ----------------------------------
 
 TEST(RepresentationMatrixTest, BitmapTruncationAndCorruptionAreTyped) {

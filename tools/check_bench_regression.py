@@ -58,7 +58,13 @@ cross-checked against the committed baseline, which catches silent
 selector or correctness rot that Mv/s alone would miss. On a
 CSR_FORCE_SCALAR build (dispatch_level "scalar") the speedup floors are
 skipped — both arms run the same scalar code — but the deterministic
-cross-checks still apply.
+cross-checks still apply. The same run's dense_probe section times the
+leapfrog of a sparse driver into a ~22%-dense docid-only list built with
+kAuto (bitmap blocks probed in place) against the same lists built
+kForOnly; its median per-round speedup must hold --intersect-dense-floor
+(on every dispatch level: the saving is decode work, not SIMD), both arms
+must count the same intersection, and that count and the list sizes are
+cross-checked against the baseline.
 
 --self-test: runs this script's own pytest-style unit tests (no pytest
 dependency; plain asserts over the pure check functions and the JSON
@@ -408,14 +414,45 @@ def check_intersect_exact(report, baseline):
                 failures.append(
                     f"intersect_kernels.{bucket}.{field}: fresh run "
                     f"{got!r} != baseline {want!r}")
+    return failures + check_dense_probe_exact(report, baseline)
+
+
+# Deterministic fields of bench_ablation_intersection's dense_probe section.
+DENSE_PROBE_EXACT_FIELDS = ("driver_size", "dense_size", "result")
+
+
+def check_dense_probe_exact(report, baseline):
+    """Cardinality cross-checks for the in-place bitmap probe bucket."""
+    base = baseline.get("dense_probe")
+    if not isinstance(base, dict):
+        return []  # baseline predates the bucket
+    fresh = section(report, "dense_probe", "bench_ablation_intersection")
+    failures = []
+    for field in DENSE_PROBE_EXACT_FIELDS:
+        if fresh.get(field) != base.get(field):
+            failures.append(
+                f"dense_probe.{field}: fresh run {fresh.get(field)!r} != "
+                f"baseline {base.get(field)!r}")
+    if fresh.get("for_only_result") != fresh.get("result"):
+        failures.append(
+            f"dense_probe: kForOnly lists intersect to "
+            f"{fresh.get('for_only_result')!r}, kAuto lists to "
+            f"{fresh.get('result')!r}")
     return failures
 
 
-def check_intersect_perf(report, near_floor, gallop_floor):
+def check_intersect_perf(report, near_floor, gallop_floor, dense_floor):
     """Timing-sensitive intersect-kernel checks — retried across attempts."""
     fresh = section(report, "intersect_kernels",
                     "bench_ablation_intersection")
     failures = []
+    probe = section(report, "dense_probe", "bench_ablation_intersection")
+    if probe["speedup"] < dense_floor:
+        failures.append(
+            f"dense_probe ({probe['dispatch_level']}, nproc "
+            f"{probe['nproc']}): kAuto leapfrog {probe['auto_qps']:.0f} qps "
+            f"is {probe['speedup']:.2f}x kForOnly "
+            f"{probe['for_only_qps']:.0f} qps (floor {dense_floor:.1f}x)")
     for bucket in INTERSECT_BUCKETS:
         b = fresh[bucket]
         if b["scalar_mvs"] <= 0 or b["simd_mvs"] <= 0:
@@ -487,7 +524,8 @@ def run_intersect_gate(args):
                 print(f"FAIL: {msg}", file=sys.stderr)
             return report, None
         return report, check_intersect_perf(
-            report, args.intersect_near_floor, args.intersect_gallop_floor)
+            report, args.intersect_near_floor, args.intersect_gallop_floor,
+            args.intersect_dense_floor)
 
     def ok(report, attempt):
         k = report["intersect_kernels"]
@@ -496,7 +534,8 @@ def run_intersect_gate(args):
               f"{k['near_equal']['speedup']:.2f}x, ratio_4096 "
               f"{k['ratio_4096']['speedup']:.2f}x vs scalar "
               f"({k['near_equal']['simd_mvs']:.0f} / "
-              f"{k['ratio_4096']['simd_mvs']:.0f} Mv/s)")
+              f"{k['ratio_4096']['simd_mvs']:.0f} Mv/s), dense_probe "
+              f"{report['dense_probe']['speedup']:.2f}x kForOnly")
 
     return retry_gate("intersect kernels", args.attempts, once, ok)
 
@@ -927,22 +966,52 @@ def _intersect_report(dispatch_level="avx2", **overrides):
     for key, value in overrides.items():
         bucket, field = key.rsplit("_", 1)
         sec[bucket][field] = value
-    return {"intersect_kernels": sec}
+    probe = {"nproc": 4, "dispatch_level": dispatch_level,
+             "driver_size": 471, "dense_size": 26505, "result": 99,
+             "for_only_result": 99, "auto_qps": 40000.0,
+             "for_only_qps": 10000.0, "speedup": 4.0}
+    return {"intersect_kernels": sec, "dense_probe": probe}
 
 
 def test_intersect_passes_on_good_report():
     report = _intersect_report()
     assert check_intersect_exact(report, report) == []
-    assert check_intersect_perf(report, 1.3, 2.0) == []
+    assert check_intersect_perf(report, 1.3, 2.0, 3.0) == []
 
 
 def test_intersect_fails_below_speedup_floors():
     fails = check_intersect_perf(
-        _intersect_report(near_equal_speedup=1.1), 1.3, 2.0)
+        _intersect_report(near_equal_speedup=1.1), 1.3, 2.0, 3.0)
     assert any("near_equal" in f and "floor" in f for f in fails), fails
     fails = check_intersect_perf(
-        _intersect_report(ratio_4096_speedup=1.5), 1.3, 2.0)
+        _intersect_report(ratio_4096_speedup=1.5), 1.3, 2.0, 3.0)
     assert any("ratio_4096" in f for f in fails), fails
+
+
+def test_dense_probe_floor_holds_on_every_dispatch_level():
+    for level in ("avx2", "scalar"):
+        report = _intersect_report(dispatch_level=level)
+        report["dense_probe"]["speedup"] = 2.5
+        fails = check_intersect_perf(report, 1.3, 2.0, 3.0)
+        assert any("dense_probe" in f and "floor" in f for f in fails), fails
+
+
+def test_dense_probe_exact_flags_cardinality_drift():
+    base = _intersect_report()
+    assert check_intersect_exact(base, base) == []
+    drift = _intersect_report()
+    drift["dense_probe"]["result"] = 98
+    drift["dense_probe"]["for_only_result"] = 98
+    fails = check_intersect_exact(drift, base)
+    assert any("dense_probe.result" in f for f in fails), fails
+    split = _intersect_report()
+    split["dense_probe"]["for_only_result"] = 100
+    fails = check_intersect_exact(split, base)
+    assert any("kForOnly" in f for f in fails), fails
+    # A baseline without the bucket predates it.
+    old = _intersect_report()
+    del old["dense_probe"]
+    assert check_intersect_exact(split, old) == []
 
 
 def test_intersect_scalar_build_skips_speedup_floors():
@@ -950,13 +1019,13 @@ def test_intersect_scalar_build_skips_speedup_floors():
     report = _intersect_report(dispatch_level="scalar",
                                near_equal_speedup=1.0,
                                ratio_4096_speedup=1.0)
-    assert check_intersect_perf(report, 1.3, 2.0) == []
+    assert check_intersect_perf(report, 1.3, 2.0, 3.0) == []
 
 
 def test_intersect_zero_throughput_fails_even_on_scalar():
     report = _intersect_report(dispatch_level="scalar")
     report["intersect_kernels"]["ratio_512"]["simd_mvs"] = 0.0
-    fails = check_intersect_perf(report, 1.3, 2.0)
+    fails = check_intersect_perf(report, 1.3, 2.0, 3.0)
     assert any("non-positive" in f for f in fails), fails
 
 
@@ -1067,6 +1136,9 @@ def main():
     ap.add_argument("--intersect-gallop-floor", type=float, default=2.0,
                     help="SIMD-over-scalar speedup floor for the "
                          "ratio-4096 gallop bucket")
+    ap.add_argument("--intersect-dense-floor", type=float, default=3.0,
+                    help="kAuto-over-kForOnly leapfrog speedup floor for "
+                         "the dense_probe bucket")
     ap.add_argument("--self-test", action="store_true",
                     help="run this script's own unit tests and exit")
     args = ap.parse_args()
