@@ -58,6 +58,16 @@ namespace {
 
 constexpr uint64_t kStormSeed = 0x57042;
 
+/// A 1024-deep executor with the given admission settings.
+ExecutorConfig PoolConfig(uint32_t num_threads,
+                          const AdmissionConfig& admission) {
+  ExecutorConfig config;
+  config.num_threads = num_threads;
+  config.queue_capacity = 1024;
+  config.admission = admission;
+  return config;
+}
+
 double EnvDouble(const char* name, double fallback) {
   if (const char* env = std::getenv(name)) {
     double v = std::atof(env);
@@ -341,7 +351,7 @@ int Main(int argc, char** argv) {
   double capacity_qps = 0.0;
   double mean_exec_ms = 0.0;
   {
-    QueryExecutor executor(engine.get(), {threads, 1024, {}});
+    QueryExecutor executor(engine.get(), PoolConfig(threads, {}));
     PhaseStats warm;
     RunBatch(executor, mix_pool, slo_ms, &warm);
     WallTimer timer;
@@ -395,7 +405,7 @@ int Main(int argc, char** argv) {
   // --- Phase 2: open-loop at 0.7x capacity (healthy baseline) ------------
   PhaseStats capacity_run;
   {
-    QueryExecutor executor(engine.get(), {threads, 1024, admission});
+    QueryExecutor executor(engine.get(), PoolConfig(threads, admission));
     auto schedule = MakeSchedule(0.7 * capacity_qps, duration_s,
                                  /*bursty=*/false, arrival_cdf,
                                  mix_pool.size(), /*seed=*/1001);
@@ -414,7 +424,7 @@ int Main(int argc, char** argv) {
   PhaseStats overload;
   AdmissionSnapshot overload_admission;
   {
-    QueryExecutor executor(engine.get(), {threads, 1024, admission});
+    QueryExecutor executor(engine.get(), PoolConfig(threads, admission));
     auto schedule = MakeSchedule(4.0 * capacity_qps, duration_s,
                                  /*bursty=*/true, arrival_cdf,
                                  mix_pool.size(), /*seed=*/2002);
@@ -469,7 +479,7 @@ int Main(int argc, char** argv) {
   uint64_t storm_withdrawals = 0;
   uint64_t storm_denials = 0;
   {
-    QueryExecutor executor(engine.get(), {threads, 1024, {}});
+    QueryExecutor executor(engine.get(), PoolConfig(threads, {}));
     {
       ScopedFaultRate flaky(FaultPoint::kViewRead, 0.10, kStormSeed);
       for (int i = 0; i < 4; ++i) {
@@ -616,7 +626,7 @@ int Main(int argc, char** argv) {
       }
     }
     {
-      QueryExecutor executor(engine.get(), {threads, 1024, {}});
+      QueryExecutor executor(engine.get(), PoolConfig(threads, {}));
       PhaseStats warm;
       RunBatch(executor, hot_pool, slo_ms, &warm, mode);
       uint64_t blocks0 = SnapshotDecodeTallies().blocks_decoded;

@@ -80,7 +80,9 @@ Ontology Ontology::GenerateTree(std::span<const uint32_t> fanouts) {
   if (fanouts.empty()) return ont;
   std::vector<TermId> frontier;
   for (uint32_t i = 0; i < fanouts[0]; ++i) {
-    frontier.push_back(ont.AddRoot("C" + std::to_string(i)));
+    std::string name = "C";
+    name += std::to_string(i);
+    frontier.push_back(ont.AddRoot(std::move(name)));
   }
   for (size_t level = 1; level < fanouts.size(); ++level) {
     std::vector<TermId> next;

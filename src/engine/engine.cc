@@ -290,9 +290,11 @@ void ContextSearchEngine::RegisterMetrics() {
     snap.counters["intersect.leapfrog.gallop"] = t.leapfrog_gallop;
     for (size_t i = 0; i < kIntersectRatioBuckets; ++i) {
       if (t.ratio_hist[i] == 0) continue;  // keep .metrics output dense
-      std::string name = "intersect.ratio." + std::to_string(1ull << i);
+      std::string name = "intersect.ratio.";
+      name += std::to_string(1ull << i);
       if (i + 1 < kIntersectRatioBuckets) {
-        name += "_" + std::to_string(1ull << (i + 1));
+        name += '_';
+        name += std::to_string(1ull << (i + 1));
       } else {
         name += "_plus";
       }

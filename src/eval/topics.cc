@@ -76,7 +76,8 @@ Result<std::vector<Topic>> TopicPlanter::Plant(Corpus& corpus) const {
   double poor_quota = 0.0;
   for (uint32_t t = 0; t < config_.num_topics; ++t) {
     Topic topic;
-    topic.name = "Q" + std::to_string(t + 1);
+    topic.name = "Q";
+    topic.name += std::to_string(t + 1);
 
     // Deterministic quota: exactly ~poor_fit_fraction of topics are
     // poor-fit, spread across the sequence.

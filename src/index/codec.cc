@@ -7,6 +7,7 @@
 
 #include "index/simd_intersect.h"
 #include "index/simd_unpack.h"
+#include "util/popcount.h"
 
 namespace csr {
 
@@ -259,15 +260,6 @@ Status ForBlockCodec::Decode(std::string_view in, DocId base, size_t count,
 namespace {
 
 inline size_t BitmapBytesFor(uint32_t range) { return (range + 7) / 8; }
-
-/// Branch-free SWAR population count: std::popcount compiles to a libgcc
-/// call per word on baseline x86-64 (no POPCNT), several times slower.
-inline uint64_t Popcount64(uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-  return (x * 0x0101010101010101ULL) >> 56;
-}
 
 /// Max tf bit width of a block (the bitmap header's only per-value width).
 uint32_t TfWidth(std::span<const Posting> postings) {
@@ -1368,7 +1360,7 @@ void PairwiseIntersectImpl(const CompressedPostingList& drv,
 struct CountSink {
   uint64_t n = 0;
   void Doc(DocId) { ++n; }
-  void Word(DocId, uint64_t w) { n += static_cast<uint64_t>(std::popcount(w)); }
+  void Word(DocId, uint64_t w) { n += Popcount64(w); }
 };
 
 struct ScanSink {

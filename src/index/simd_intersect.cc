@@ -217,7 +217,9 @@ size_t Sse2Gallop(const uint32_t* rare, size_t nrare, const uint32_t* freq,
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 kernels.
+// AVX2 kernels. Each is a leaf whose every exit runs _mm256_zeroupper()
+// before returning (or before the scalar MergeTail), so no caller ever runs
+// baseline SSE code with dirty upper YMM halves (DESIGN.md §11, §15).
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) size_t Avx2Pairwise(const uint32_t* a,
@@ -274,6 +276,7 @@ __attribute__((target("avx2"))) size_t Avx2Pairwise(const uint32_t* a,
       }
     }
   }
+  _mm256_zeroupper();
   return MergeTail(a, na, b, nb, i, j, out, n);
 }
 
@@ -305,6 +308,7 @@ __attribute__((target("avx2"))) size_t Avx2WideProbe(const uint32_t* rare,
       if (t < end && freq[t] == v) out[n++] = v;
     }
   }
+  _mm256_zeroupper();
   return n;
 }
 
@@ -332,6 +336,7 @@ __attribute__((target("avx2"))) size_t Avx2Gallop(const uint32_t* rare,
       if (freq[jt] == v) out[n++] = v;
     }
   }
+  _mm256_zeroupper();
   return n;
 }
 

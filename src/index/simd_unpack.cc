@@ -124,14 +124,18 @@ void UnpackSse2(const uint8_t* p, size_t avail, size_t count, uint32_t bits,
   UnpackScalarFrom(p, avail, count, bits, out, i * 8);
 }
 
-__attribute__((target("avx2"))) void UnpackAvx2(const uint8_t* p,
-                                                size_t avail, size_t count,
-                                                uint32_t bits,
-                                                uint32_t* out) {
-  if (bits == 0) {
-    std::fill(out, out + count, 0u);
-    return;
-  }
+/// Decodes the leading whole 8-value groups whose reads stay inside
+/// [p, p+avail) and returns how many values it wrote (a multiple of 8);
+/// UnpackBitsAtLevel finishes the tail with the scalar kernel. The kernel
+/// is a leaf that ends in vzeroupper: the rest of the engine is baseline
+/// x86-64 SSE code, and every non-VEX SSE instruction run while the upper
+/// YMM halves are dirty pays a state-merge penalty (DESIGN.md §11). A tail
+/// call here would let the compiler emit a sibling-call jmp that skips the
+/// vzeroupper it inserts before returns.
+__attribute__((target("avx2"))) size_t UnpackAvx2(const uint8_t* p,
+                                                  size_t avail, size_t count,
+                                                  uint32_t bits,
+                                                  uint32_t* out) {
   size_t d[8];
   int s[8];
   for (uint32_t k = 0; k < 8; ++k) {
@@ -217,7 +221,8 @@ __attribute__((target("avx2"))) void UnpackAvx2(const uint8_t* p,
                        _mm256_castsi256_si128(b));
     }
   }
-  UnpackScalarFrom(p, avail, count, bits, out, i * 8);
+  _mm256_zeroupper();
+  return i * 8;
 }
 
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2"); }
@@ -309,7 +314,12 @@ void UnpackBitsAtLevel(UnpackLevel level, const uint8_t* p, size_t avail,
   switch (level) {
 #if defined(CSR_X86) && !defined(CSR_FORCE_SCALAR)
     case UnpackLevel::kAvx2:
-      UnpackAvx2(p, avail, count, bits, out);
+      if (bits == 0) {
+        std::fill(out, out + count, 0u);
+        return;
+      }
+      UnpackScalarFrom(p, avail, count, bits, out,
+                       UnpackAvx2(p, avail, count, bits, out));
       return;
     case UnpackLevel::kSse2:
       UnpackSse2(p, avail, count, bits, out);

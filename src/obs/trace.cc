@@ -80,8 +80,11 @@ void TraceSpan::AppendJson(std::string& out, int indent) const {
     out += ", \"attrs\": {";
     for (size_t i = 0; i < attrs.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + JsonEscape(attrs[i].first) + "\": \"" +
-             JsonEscape(attrs[i].second) + "\"";
+      out += '"';
+      out += JsonEscape(attrs[i].first);
+      out += "\": \"";
+      out += JsonEscape(attrs[i].second);
+      out += '"';
     }
     out += "}";
   }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/hash.h"
+#include "util/popcount.h"
 
 namespace csr {
 
@@ -44,7 +45,7 @@ class BitSignature {
 
   uint32_t PopCount() const {
     uint32_t n = 0;
-    for (uint64_t w : words_) n += static_cast<uint32_t>(__builtin_popcountll(w));
+    for (uint64_t w : words_) n += static_cast<uint32_t>(Popcount64(w));
     return n;
   }
 

@@ -32,6 +32,14 @@
 namespace csr {
 namespace {
 
+/// Executor settings with default admission and pipeline configs.
+ExecutorConfig PoolConfig(uint32_t num_threads, size_t queue_capacity) {
+  ExecutorConfig config;
+  config.num_threads = num_threads;
+  config.queue_capacity = queue_capacity;
+  return config;
+}
+
 Corpus SmallCorpus(uint32_t docs = 3000, uint64_t seed = 77) {
   CorpusConfig cfg;
   cfg.num_docs = docs;
@@ -295,7 +303,7 @@ TEST(ExecutorTenantTest, ShedQueryIsTypedErrorNeverPartialSuccess) {
   ecfg.deadline_ms = 0.05;
   auto engine = ContextSearchEngine::Build(std::move(corpus), ecfg).value();
   ASSERT_TRUE(engine->MaterializeViews({ViewDefinition{{0, 1, 2, 3}}}).ok());
-  QueryExecutor executor(engine.get(), {/*num_threads=*/1, 256});
+  QueryExecutor executor(engine.get(), PoolConfig(1, 256));
   std::vector<ContextQuery> queries = FixedWorkload(*engine, 64);
   auto batch =
       executor.SearchBatch(queries, EvaluationMode::kContextWithViews);
@@ -400,7 +408,7 @@ TEST(FaultStormTest, StormScoresBitIdenticalToSequentialBaseline) {
   std::vector<Result<SearchResult>> stormed;
   {
     ScopedFaultRate storm(FaultPoint::kViewRead, 0.10, /*seed=*/0x57042);
-    QueryExecutor executor(engine.get(), {/*num_threads=*/4, 256});
+    QueryExecutor executor(engine.get(), PoolConfig(4, 256));
     stormed = executor.SearchBatch(queries, EvaluationMode::kContextWithViews);
   }
 

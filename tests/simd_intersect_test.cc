@@ -5,12 +5,16 @@
 // dup-free runs, all-match, no-match, ratio sweeps 1..10000, and
 // block-boundary straddles through the compressed pairwise path — and the
 // charged CostCounters must be bit-identical across scalar/SSE2/AVX2.
+// It also enforces the AVX2 kernel-exit contract: no AVX2 unpack or
+// intersect call may return with the upper YMM halves dirty.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "index/codec.h"
@@ -21,6 +25,11 @@
 #include "index/simd_intersect.h"
 #include "index/simd_unpack.h"
 #include "util/random.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#define CSR_TEST_X86 1
+#endif
 
 namespace csr {
 namespace {
@@ -288,6 +297,117 @@ TEST(SimdIntersectTest, LeapfrogChoicesRecorded) {
   const IntersectTallies t = SnapshotIntersectTallies();
   EXPECT_GE(t.leapfrog_merge, 2u);   // near-equal pair: both cursors merge
   EXPECT_GE(t.leapfrog_gallop, 2u);  // 64x pair: both cursors gallop
+}
+
+
+// -- AVX2 kernel-exit contract: upper YMM state clean on return -------------
+//
+// The engine outside the kernels is baseline x86-64 SSE code; a kernel that
+// returns with dirty upper YMM halves makes every later non-VEX SSE
+// instruction in the thread pay a state-merge penalty (DESIGN.md §11).
+// XINUSE (xgetbv with ecx=1) bit 2 reports whether the AVX state component
+// is out of its initial state, so it is read immediately after each call.
+
+#if defined(CSR_TEST_X86)
+
+uint64_t ReadXinuse() {
+  uint32_t eax = 0, edx = 0;
+  __asm__ volatile("xgetbv" : "=a"(eax), "=d"(edx) : "c"(1u));
+  return (static_cast<uint64_t>(edx) << 32) | eax;
+}
+
+bool AvxUpperDirty() { return (ReadXinuse() & 4u) != 0; }
+
+void DirtyUpperState() {
+  __asm__ volatile("vpcmpeqd %%ymm0, %%ymm0, %%ymm0" ::: "xmm0");
+}
+
+void CleanUpperState() { __asm__ volatile("vzeroupper" ::: "memory"); }
+
+/// Empty when the probe can run here, else why the test must skip.
+std::string XinuseProbeUnavailable() {
+  const char* env = std::getenv("CSR_FORCE_SCALAR");
+  if (env != nullptr && env[0] != '\0' && std::string_view(env) != "0") {
+    return "CSR_FORCE_SCALAR is set";
+  }
+  if (!UnpackLevelSupported(UnpackLevel::kAvx2)) return "AVX2 unsupported";
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (!__get_cpuid(1, &a, &b, &c, &d) || (c & bit_OSXSAVE) == 0 ||
+      !__get_cpuid_count(0xD, 1, &a, &b, &c, &d) || (a & 4u) == 0) {
+    return "xgetbv(1) unavailable (CPUID.(0Dh,1):EAX[2] clear)";
+  }
+  return "";
+}
+
+#endif  // CSR_TEST_X86
+
+TEST(SimdIntersectTest, Avx2KernelsReturnWithCleanUpperState) {
+#if !defined(CSR_TEST_X86)
+  GTEST_SKIP() << "not an x86 build";
+#else
+  const std::string why = XinuseProbeUnavailable();
+  if (!why.empty()) GTEST_SKIP() << why;
+  // The probe must see a deliberately dirtied state, or a pass is vacuous.
+  DirtyUpperState();
+  ASSERT_TRUE(AvxUpperDirty()) << "XINUSE[2] misses a dirty upper state";
+  CleanUpperState();
+  ASSERT_FALSE(AvxUpperDirty()) << "XINUSE[2] set right after vzeroupper";
+
+  SplitMix64 rng(61);
+  std::vector<uint8_t> packed(32 * 128 / 8 + 64);
+  for (uint8_t& byte : packed) byte = static_cast<uint8_t>(rng.Next());
+  std::vector<uint32_t> got(128), want(128);
+  size_t calls = 0;
+  for (uint32_t bits = 0; bits <= 32; ++bits) {
+    for (size_t count : {1u, 7u, 8u, 64u, 127u, 128u}) {
+      const size_t tight = (count * bits + 7) / 8;
+      for (size_t avail : {tight, tight + 32}) {
+        CleanUpperState();
+        UnpackBitsAtLevel(UnpackLevel::kAvx2, packed.data(), avail, count,
+                          bits, got.data());
+        const bool dirty = AvxUpperDirty();
+        ++calls;
+        EXPECT_FALSE(dirty) << "unpack bits=" << bits << " count=" << count
+                            << " avail=" << avail;
+        UnpackBitsScalar(packed.data(), avail, count, bits, want.data());
+        ASSERT_TRUE(std::equal(want.begin(), want.begin() + count,
+                               got.begin()))
+            << "unpack bits=" << bits << " count=" << count;
+      }
+    }
+  }
+
+  const std::vector<uint32_t> empty;
+  const std::vector<uint32_t> short_list = RandomSorted(rng, 5, 4);
+  const std::vector<uint32_t> long_rare = RandomSorted(rng, 300, 40);
+  const std::vector<uint32_t> long_freq = RandomSorted(rng, 4000, 3);
+  struct Shape {
+    const char* name;
+    const std::vector<uint32_t>* rare;
+    const std::vector<uint32_t>* freq;
+  };
+  const Shape shapes[] = {{"empty", &empty, &empty},
+                          {"short", &short_list, &long_freq},
+                          {"long", &long_rare, &long_freq},
+                          {"long_equal", &long_freq, &long_freq}};
+  std::vector<uint32_t> out(long_freq.size());
+  for (IntersectKernel kernel : kKernels) {
+    for (const Shape& shape : shapes) {
+      CleanUpperState();
+      const size_t n = IntersectAtLevel(
+          UnpackLevel::kAvx2, kernel, shape.rare->data(), shape.rare->size(),
+          shape.freq->data(), shape.freq->size(), out.data());
+      const bool dirty = AvxUpperDirty();
+      ++calls;
+      EXPECT_FALSE(dirty) << "intersect kernel="
+                          << IntersectKernelName(kernel)
+                          << " shape=" << shape.name;
+      EXPECT_EQ(n, Reference(*shape.rare, *shape.freq).size())
+          << IntersectKernelName(kernel) << " " << shape.name;
+    }
+  }
+  EXPECT_EQ(calls, 33u * 6u * 2u + 3u * 4u);
+#endif
 }
 
 }  // namespace
