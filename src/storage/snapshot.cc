@@ -1,8 +1,10 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "util/fault.h"
 
@@ -188,25 +190,51 @@ class ViewSerializer {
       w.PutVarint(tc.size());
       for (uint32_t x : tc) w.PutVarint(x);
     };
-    if (v.compacted_) {
-      const MaterializedView::FlatRows& f = v.flat_;
-      size_t stride = v.num_tracked_;
-      for (size_t r = 0; r < f.size(); ++r) {
+    if (!v.compacted_) {
+      for (const MaterializedView::RowEntry* kv : v.SortedRows()) {
+        put_row(kv->first.bucket, kv->first.sig.raw_words(), kv->second.count,
+                kv->second.sum_len, kv->second.df, kv->second.tc);
+      }
+      return;
+    }
+    // Tuples go out row by row; the slot-major parameter columns are read
+    // into a 64-row tile at a time (FlatRows::ForEachParamCell), not one
+    // strided cell per slot.
+    using FlatRows = MaterializedView::FlatRows;
+    const FlatRows& f = v.flat_;
+    const size_t n = f.size();
+    const size_t slots = v.num_tracked_;
+    const size_t sw = f.sig_words();
+    const std::vector<uint64_t> words = f.SigWords();
+    constexpr size_t kTileRows = 64;
+    std::vector<uint32_t> df_tile(f.df.empty() ? 0 : kTileRows * slots);
+    std::vector<uint32_t> tc_tile(f.tc.empty() ? 0 : kTileRows * slots);
+    for (size_t r0 = 0; r0 < n; r0 += kTileRows) {
+      const size_t r1 = std::min(n, r0 + kTileRows);
+      auto gather = [&](const std::vector<uint32_t>& cols,
+                        std::vector<uint32_t>& tile) {
+        if (cols.empty()) return;
+        FlatRows::ForEachParamCell(r0, r1, slots, [&](size_t r, size_t s) {
+          tile[(r - r0) * slots + s] = cols[s * n + r];
+        });
+      };
+      gather(f.df, df_tile);
+      gather(f.tc, tc_tile);
+      for (size_t r = r0; r < r1; ++r) {
         std::span<const uint32_t> df;
         std::span<const uint32_t> tc;
-        if (!f.df.empty()) df = {f.df.data() + r * stride, stride};
-        if (!f.tc.empty()) tc = {f.tc.data() + r * stride, stride};
-        put_row(f.bucket(r), f.sig(r), f.counts[r], f.sum_lens[r], df, tc);
-      }
-    } else {
-      for (const auto& [key, row] : v.rows_) {
-        put_row(key.bucket, key.sig.raw_words(), row.count, row.sum_len,
-                row.df, row.tc);
+        if (!df_tile.empty()) df = {df_tile.data() + (r - r0) * slots, slots};
+        if (!tc_tile.empty()) tc = {tc_tile.data() + (r - r0) * slots, slots};
+        put_row(f.bucket(r), {words.data() + r * sw, sw}, f.counts[r],
+                f.sum_lens[r], df, tc);
       }
     }
   }
 
-  static Result<MaterializedView> Load(BinaryReader& r) {
+  /// `catalog_slots` is the tracked-keyword count of the file header: the
+  /// slot space every view's parameter columns are indexed by.
+  static Result<MaterializedView> Load(BinaryReader& r,
+                                       size_t catalog_slots) {
     ViewDefinition def;
     CSR_RETURN_NOT_OK(r.GetVarintVector(&def.keyword_columns));
     uint8_t track_df, track_tc;
@@ -216,20 +244,29 @@ class ViewSerializer {
     CSR_RETURN_NOT_OK(r.GetVarint(&bucket_size));
     uint32_t num_tracked;
     CSR_RETURN_NOT_OK(r.GetU32(&num_tracked));
+    if (num_tracked != catalog_slots) {
+      return Status::InvalidArgument(
+          "view tracks " + std::to_string(num_tracked) +
+          " slots, catalog tracks " + std::to_string(catalog_slots));
+    }
     ViewParamOptions options{track_df != 0, track_tc != 0,
                              static_cast<uint16_t>(bucket_size)};
     MaterializedView v(std::move(def), options, num_tracked);
 
     uint64_t num_rows;
     CSR_RETURN_NOT_OK(r.GetVarint(&num_rows));
-    size_t expected_words =
-        (v.def_.keyword_columns.size() + 63) / 64;
+    const size_t num_columns = v.def_.keyword_columns.size();
+    const size_t expected_words = (num_columns + 63) / 64;
     for (uint64_t i = 0; i < num_rows; ++i) {
       uint64_t bucket;
       CSR_RETURN_NOT_OK(r.GetVarint(&bucket));
       std::vector<uint64_t> words;
       CSR_RETURN_NOT_OK(r.GetVarintVector(&words));
-      if (words.size() != expected_words) {
+      // Bits past the view's last column would be dropped by the
+      // bit-sliced compacted store, aliasing two keys.
+      if (words.size() != expected_words ||
+          (num_columns % 64 != 0 && expected_words > 0 &&
+           (words.back() >> (num_columns % 64)) != 0)) {
         return Status::InvalidArgument("corrupt view row signature");
       }
       // Without a time dimension every row sits in bucket 0 (the compacted
@@ -242,6 +279,13 @@ class ViewSerializer {
       CSR_RETURN_NOT_OK(r.GetVarint(&row.sum_len));
       CSR_RETURN_NOT_OK(r.GetVarintVector(&row.df));
       CSR_RETURN_NOT_OK(r.GetVarintVector(&row.tc));
+      // Every stored tuple has one cell per tracked slot in each enabled
+      // parameter column and none otherwise (the compacted store's
+      // columns are sized by that).
+      if (row.df.size() != (options.track_df ? num_tracked : 0) ||
+          row.tc.size() != (options.track_tc ? num_tracked : 0)) {
+        return Status::InvalidArgument("corrupt view row parameters");
+      }
       v.rows_.emplace(
           MaterializedView::TupleKey{
               BitSignature::FromWords(std::move(words)),
@@ -371,7 +415,7 @@ Result<LoadedViews> LoadViews(const std::string& path) {
       continue;
     }
     BinaryReader fr(std::move(frame));
-    Result<MaterializedView> v = ViewSerializer::Load(fr);
+    Result<MaterializedView> v = ViewSerializer::Load(fr, out.tracked_terms.size());
     if (!v.ok()) {
       quarantine("view frame decode failed: " + v.status().ToString());
       continue;

@@ -1,7 +1,7 @@
 #include "views/materialized_view.h"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
 
 namespace csr {
 
@@ -41,32 +41,48 @@ MaterializedView MaterializedView::Clone() const {
 
 void MaterializedView::MergeFrom(const MaterializedView& other) {
   if (compacted_) Uncompact();
-  auto upsert = [&](const TupleKey& key, uint64_t count, uint64_t sum_len,
-                    const uint32_t* df_row, const uint32_t* tc_row) {
-    Row& row = rows_[key];
+  auto upsert = [&](TupleKey key, uint64_t count, uint64_t sum_len) -> Row& {
+    Row& row = rows_[std::move(key)];
     if (row.count == 0 && options_.track_df) row.df.assign(num_tracked_, 0);
     if (row.count == 0 && options_.track_tc) row.tc.assign(num_tracked_, 0);
     row.count += count;
     row.sum_len += sum_len;
-    if (options_.track_df && df_row != nullptr) {
-      for (uint32_t s = 0; s < num_tracked_; ++s) row.df[s] += df_row[s];
-    }
-    if (options_.track_tc && tc_row != nullptr) {
-      for (uint32_t s = 0; s < num_tracked_; ++s) row.tc[s] += tc_row[s];
-    }
+    return row;
   };
   if (other.compacted_) {
+    // Aggregates tuple by tuple; the slot-major parameter columns fold in
+    // tiles, never one strided cell per slot.
     const FlatRows& f = other.flat_;
-    for (size_t r = 0; r < f.size(); ++r) {
-      upsert(f.key(r), f.counts[r], f.sum_lens[r],
-             f.df.empty() ? nullptr : f.df.data() + r * num_tracked_,
-             f.tc.empty() ? nullptr : f.tc.data() + r * num_tracked_);
+    const size_t n = f.size();
+    const size_t sw = f.sig_words();
+    const std::vector<uint64_t> words = f.SigWords();
+    rows_.reserve(rows_.size() + n);
+    std::vector<Row*> targets(n);
+    for (size_t r = 0; r < n; ++r) {
+      auto w = words.begin() + static_cast<ptrdiff_t>(r * sw);
+      TupleKey key{BitSignature::FromWords({w, w + static_cast<ptrdiff_t>(sw)}),
+                   f.bucket(r)};
+      targets[r] = &upsert(std::move(key), f.counts[r], f.sum_lens[r]);
     }
-  } else {
-    for (const auto& [key, row] : other.rows_) {
-      upsert(key, row.count, row.sum_len,
-             row.df.empty() ? nullptr : row.df.data(),
-             row.tc.empty() ? nullptr : row.tc.data());
+    std::vector<uint32_t*> dst(n);
+    auto fold = [&](const std::vector<uint32_t>& cols,
+                    std::vector<uint32_t> Row::*field) {
+      for (size_t r = 0; r < n; ++r) dst[r] = (targets[r]->*field).data();
+      FlatRows::ForEachParamCell(0, n, num_tracked_, [&](size_t r, size_t s) {
+        dst[r][s] += cols[s * n + r];
+      });
+    };
+    if (options_.track_df && !f.df.empty()) fold(f.df, &Row::df);
+    if (options_.track_tc && !f.tc.empty()) fold(f.tc, &Row::tc);
+    return;
+  }
+  for (const auto& [key, src] : other.rows_) {
+    Row& row = upsert(key, src.count, src.sum_len);
+    if (options_.track_df && !src.df.empty()) {
+      for (uint32_t s = 0; s < num_tracked_; ++s) row.df[s] += src.df[s];
+    }
+    if (options_.track_tc && !src.tc.empty()) {
+      for (uint32_t s = 0; s < num_tracked_; ++s) row.tc[s] += src.tc[s];
     }
   }
 }
@@ -105,67 +121,117 @@ MaterializedView::StatsResult MaterializedView::ComputeStats(
   }
 
   // Which keywords have a parameter column in this view.
+  const bool has_params = options_.track_df || options_.track_tc;
+  for (size_t i = 0; i < keywords.size(); ++i) {
+    out.covered[i] = has_params && tracked.SlotOf(keywords[i]) >= 0;
+  }
+
+  // Theorem 4.2: the scan is charged one tuple per stored tuple, whichever
+  // store is live and however many tuples match.
+  if (cost != nullptr) cost->view_tuples_scanned += NumTuples();
+  if (compacted_) {
+    ScanColumns(context, keywords, tracked, range.active(), bucket_lo,
+                bucket_hi, &out);
+    return out;
+  }
+
+  // Staging store: test every row's signature against the probe mask.
   std::vector<int32_t> slots(keywords.size(), -1);
   for (size_t i = 0; i < keywords.size(); ++i) {
-    int32_t slot = tracked.SlotOf(keywords[i]);
-    slots[i] = slot;
-    out.covered[i] = slot >= 0 && (options_.track_df || options_.track_tc);
+    if (out.covered[i]) slots[i] = tracked.SlotOf(keywords[i]);
   }
-
-  // Build the probe mask for P.
   BitSignature mask(def_.num_columns());
   for (TermId m : context) {
-    int32_t bit = def_.BitOf(m);
-    if (bit < 0) return out;  // unreachable given Covers(context)
-    mask.Set(static_cast<uint32_t>(bit));
+    mask.Set(static_cast<uint32_t>(def_.BitOf(m)));
   }
-
-  // Full scan of the view (Theorem 4.2), over whichever row store is live.
-  auto fold = [&](uint16_t bucket, std::span<const uint64_t> sig,
-                  uint64_t count, uint64_t sum_len, const uint32_t* df_row,
-                  const uint32_t* tc_row) {
-    if (cost != nullptr) cost->view_tuples_scanned++;
-    if (bucket < bucket_lo || bucket > bucket_hi) return;
-    if (!BitSignature::ContainsAll(sig, mask.raw_words())) return;
-    out.cardinality += count;
-    out.total_length += sum_len;
+  for (const auto& [key, row] : rows_) {
+    if (key.bucket < bucket_lo || key.bucket > bucket_hi) continue;
+    if (!key.sig.ContainsAll(mask)) continue;
+    out.cardinality += row.count;
+    out.total_length += row.sum_len;
     for (size_t i = 0; i < keywords.size(); ++i) {
       if (slots[i] < 0) continue;
-      if (options_.track_df && df_row != nullptr) {
-        out.df[i] += df_row[slots[i]];
-      }
-      if (options_.track_tc && tc_row != nullptr) {
-        out.tc[i] += tc_row[slots[i]];
-      }
-    }
-  };
-  if (compacted_) {
-    for (size_t r = 0; r < flat_.size(); ++r) {
-      fold(flat_.bucket(r), flat_.sig(r), flat_.counts[r], flat_.sum_lens[r],
-           flat_.df.empty() ? nullptr : flat_.df.data() + r * num_tracked_,
-           flat_.tc.empty() ? nullptr : flat_.tc.data() + r * num_tracked_);
-    }
-  } else {
-    for (const auto& [key, row] : rows_) {
-      fold(key.bucket, key.sig.raw_words(), row.count, row.sum_len,
-           row.df.empty() ? nullptr : row.df.data(),
-           row.tc.empty() ? nullptr : row.tc.data());
+      if (!row.df.empty()) out.df[i] += row.df[slots[i]];
+      if (!row.tc.empty()) out.tc[i] += row.tc[slots[i]];
     }
   }
   return out;
 }
 
-void MaterializedView::Compact() {
-  if (compacted_) return;
-  // A view rebuilt after a corrupt-snapshot fallback may carry stale
-  // flat-row scratch from before the rebuild; re-compaction must flatten
-  // only rows_, or the appends below would duplicate tuples and the
-  // second Compact of an idempotence round-trip would diverge byte-wise.
-  flat_ = FlatRows();
-  // Sort by (bucket, signature words) so the compacted order — and
-  // therefore serialized snapshots — is deterministic, unlike hash-map
-  // iteration.
-  std::vector<const std::pair<const TupleKey, Row>*> sorted;
+namespace {
+
+/// Sums col[r] over the set bits r of `match` (`words` words).
+uint64_t SumMatched(const uint32_t* col, const uint64_t* match,
+                    size_t words) {
+  uint64_t sum = 0;
+  for (size_t k = 0; k < words; ++k) {
+    for (uint64_t bits = match[k]; bits != 0; bits &= bits - 1) {
+      sum += col[k * 64 + static_cast<size_t>(std::countr_zero(bits))];
+    }
+  }
+  return sum;
+}
+
+}  // namespace
+
+void MaterializedView::ScanColumns(std::span<const TermId> context,
+                                   std::span<const TermId> keywords,
+                                   const TrackedKeywords& tracked,
+                                   bool filter_buckets, uint16_t bucket_lo,
+                                   uint16_t bucket_hi,
+                                   StatsResult* out) const {
+  const FlatRows& f = flat_;
+  // Tuples are matched a stack chunk of row words at a time (16,384
+  // tuples), so the scan allocates nothing whatever the view's size.
+  constexpr size_t kChunkWords = 256;
+  uint64_t match[kChunkWords];
+  for (size_t w0 = 0; w0 < f.row_words; w0 += kChunkWords) {
+    const size_t words = std::min(kChunkWords, f.row_words - w0);
+    const size_t base = w0 * 64;
+    // The tuples whose key holds every bit of P: the AND of P's columns
+    // (all tuples for an empty P).
+    std::fill_n(match, words, ~uint64_t{0});
+    if (w0 + words == f.row_words && f.n % 64 != 0) {
+      match[words - 1] = (uint64_t{1} << (f.n % 64)) - 1;
+    }
+    for (TermId m : context) {
+      const uint64_t* col =
+          f.column(static_cast<uint32_t>(def_.BitOf(m))) + w0;
+      for (size_t k = 0; k < words; ++k) match[k] &= col[k];
+    }
+    // Count/length of the matched tuples; an active year range drops the
+    // matched tuples outside its buckets first.
+    for (size_t k = 0; k < words; ++k) {
+      for (uint64_t bits = match[k]; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        const size_t r = base + k * 64 + static_cast<size_t>(b);
+        if (filter_buckets &&
+            (f.buckets[r] < bucket_lo || f.buckets[r] > bucket_hi)) {
+          match[k] &= ~(uint64_t{1} << b);
+          continue;
+        }
+        out->cardinality += f.counts[r];
+        out->total_length += f.sum_lens[r];
+      }
+    }
+    // One contiguous column per covered keyword.
+    for (size_t i = 0; i < keywords.size(); ++i) {
+      if (!out->covered[i]) continue;
+      const size_t col =
+          static_cast<size_t>(tracked.SlotOf(keywords[i])) * f.n + base;
+      if (!f.df.empty()) {
+        out->df[i] += SumMatched(f.df.data() + col, match, words);
+      }
+      if (!f.tc.empty()) {
+        out->tc[i] += SumMatched(f.tc.data() + col, match, words);
+      }
+    }
+  }
+}
+
+std::vector<const MaterializedView::RowEntry*> MaterializedView::SortedRows()
+    const {
+  std::vector<const RowEntry*> sorted;
   sorted.reserve(rows_.size());
   for (const auto& kv : rows_) sorted.push_back(&kv);
   std::sort(sorted.begin(), sorted.end(), [](const auto* a, const auto* b) {
@@ -174,66 +240,92 @@ void MaterializedView::Compact() {
     }
     return a->first.sig.raw_words() < b->first.sig.raw_words();
   });
+  return sorted;
+}
 
-  size_t n = sorted.size();
-  flat_.sig_words = BitSignature(def_.num_columns()).num_words();
-  flat_.key_words.reserve(n * flat_.sig_words);
-  if (options_.year_bucket_size > 0) flat_.buckets.reserve(n);
-  flat_.counts.reserve(n);
-  flat_.sum_lens.reserve(n);
-  if (options_.track_df) flat_.df.reserve(n * num_tracked_);
-  if (options_.track_tc) flat_.tc.reserve(n * num_tracked_);
-  for (const auto* kv : sorted) {
-    const Row& row = kv->second;
-    const std::vector<uint64_t>& words = kv->first.sig.raw_words();
-    flat_.key_words.insert(flat_.key_words.end(), words.begin(), words.end());
-    if (options_.year_bucket_size > 0) {
-      flat_.buckets.push_back(kv->first.bucket);
-    }
-    flat_.counts.push_back(row.count);
-    flat_.sum_lens.push_back(row.sum_len);
-    if (options_.track_df) {
-      if (row.df.empty()) {
-        flat_.df.insert(flat_.df.end(), num_tracked_, 0);
-      } else {
-        flat_.df.insert(flat_.df.end(), row.df.begin(), row.df.end());
-      }
-    }
-    if (options_.track_tc) {
-      if (row.tc.empty()) {
-        flat_.tc.insert(flat_.tc.end(), num_tracked_, 0);
-      } else {
-        flat_.tc.insert(flat_.tc.end(), row.tc.begin(), row.tc.end());
-      }
-    }
+void MaterializedView::Compact() {
+  if (compacted_) return;
+  // Sorted so the compacted order — and therefore serialized snapshots —
+  // is deterministic, unlike hash-map iteration.
+  std::vector<const RowEntry*> sorted = SortedRows();
+  const size_t n = sorted.size();
+  FlatRows f;
+  f.Reset(n, def_.num_columns(), options_.year_bucket_size > 0,
+          options_.track_df, options_.track_tc, num_tracked_);
+  for (size_t r = 0; r < n; ++r) {
+    const TupleKey& key = sorted[r]->first;
+    f.SetKey(r, key.sig.raw_words().data());
+    if (!f.buckets.empty()) f.buckets[r] = key.bucket;
+    f.counts[r] = sorted[r]->second.count;
+    f.sum_lens[r] = sorted[r]->second.sum_len;
   }
+  // Parameter columns are written tile by tile from the per-row arrays.
+  std::vector<const uint32_t*> src(n);
+  auto transpose = [&](std::vector<uint32_t>& cols,
+                       std::vector<uint32_t> Row::*field) {
+    for (size_t r = 0; r < n; ++r) src[r] = (sorted[r]->second.*field).data();
+    FlatRows::ForEachParamCell(0, n, num_tracked_, [&](size_t r, size_t s) {
+      cols[s * n + r] = src[r][s];
+    });
+  };
+  if (options_.track_df) transpose(f.df, &Row::df);
+  if (options_.track_tc) transpose(f.tc, &Row::tc);
+  flat_ = std::move(f);
   rows_ = {};
   compacted_ = true;
 }
 
-void MaterializedView::Uncompact() {
-  if (!compacted_) return;
-  rows_.reserve(flat_.size());
-  for (size_t r = 0; r < flat_.size(); ++r) {
-    Row& row = rows_[flat_.key(r)];
-    row.count = flat_.counts[r];
-    row.sum_len = flat_.sum_lens[r];
-    if (!flat_.df.empty()) {
-      auto it = flat_.df.begin() + static_cast<ptrdiff_t>(r * num_tracked_);
-      row.df.assign(it, it + num_tracked_);
-    }
-    if (!flat_.tc.empty()) {
-      auto it = flat_.tc.begin() + static_cast<ptrdiff_t>(r * num_tracked_);
-      row.tc.assign(it, it + num_tracked_);
+void MaterializedView::FlatRows::Reset(size_t rows, uint32_t num_columns,
+                                       bool with_buckets, bool with_df,
+                                       bool with_tc, size_t slots) {
+  n = rows;
+  columns = num_columns;
+  row_words = (rows + 63) / 64;
+  key_bits.assign(columns * row_words, 0);
+  buckets.assign(with_buckets ? rows : 0, 0);
+  counts.assign(rows, 0);
+  sum_lens.assign(rows, 0);
+  df.assign(with_df ? rows * slots : 0, 0);
+  tc.assign(with_tc ? rows * slots : 0, 0);
+}
+
+void MaterializedView::FlatRows::SetKey(size_t r, const uint64_t* words) {
+  for (size_t k = 0; k < sig_words(); ++k) {
+    for (uint64_t bits = words[k]; bits != 0; bits &= bits - 1) {
+      size_t c = k * 64 + static_cast<size_t>(std::countr_zero(bits));
+      key_bits[c * row_words + (r >> 6)] |= uint64_t{1} << (r & 63);
     }
   }
+}
+
+std::vector<uint64_t> MaterializedView::FlatRows::SigWords() const {
+  const size_t sw = sig_words();
+  std::vector<uint64_t> words(n * sw, 0);
+  for (uint32_t c = 0; c < columns; ++c) {
+    const uint64_t* col = column(c);
+    for (size_t k = 0; k < row_words; ++k) {
+      for (uint64_t bits = col[k]; bits != 0; bits &= bits - 1) {
+        size_t r = k * 64 + static_cast<size_t>(std::countr_zero(bits));
+        words[r * sw + (c >> 6)] |= uint64_t{1} << (c & 63);
+      }
+    }
+  }
+  return words;
+}
+
+void MaterializedView::Uncompact() {
+  if (!compacted_) return;
+  // Folding the columns into an empty staging store rebuilds the rows.
+  MaterializedView staging(def_, options_, num_tracked_);
+  staging.MergeFrom(*this);
+  rows_ = std::move(staging.rows_);
   flat_ = FlatRows();
   compacted_ = false;
 }
 
 uint64_t MaterializedView::MemoryBytes() const {
   if (compacted_) {
-    return (flat_.key_words.size() + flat_.counts.size() +
+    return (flat_.key_bits.size() + flat_.counts.size() +
             flat_.sum_lens.size()) *
                sizeof(uint64_t) +
            flat_.buckets.size() * sizeof(uint16_t) +

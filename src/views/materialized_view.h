@@ -1,6 +1,7 @@
 #ifndef CSR_VIEWS_MATERIALIZED_VIEW_H_
 #define CSR_VIEWS_MATERIALIZED_VIEW_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <unordered_map>
@@ -35,7 +36,9 @@ struct ViewParamOptions {
 /// df (and optionally tc).
 ///
 /// Computing S_c(D_P) for P ⊆ K is a full scan of the rows, summing those
-/// whose signature contains all bits of P (Theorem 4.2: O(ViewSize)).
+/// whose signature contains all bits of P (Theorem 4.2: O(ViewSize)). The
+/// build and maintenance form is a hash map of rows; Compact() turns it
+/// into the column store that serves queries (DESIGN.md §18).
 class MaterializedView {
  public:
   MaterializedView(ViewDefinition def, ViewParamOptions options,
@@ -105,14 +108,15 @@ class MaterializedView {
   /// same definition, options, and tracked-keyword table; this is the
   /// physical merge of a per-segment delta into its base view, and because
   /// every aggregate is an integer sum it reproduces exactly what a
-  /// scratch build over the union of documents would have produced.
+  /// scratch build over the union of documents would have produced. A
+  /// compacted view un-compacts first; a compacted `other` is read in
+  /// place.
   void MergeFrom(const MaterializedView& other);
 
-  /// Converts the hash-map row store into flat column arenas sorted by
-  /// tuple key: one contiguous key-word block and one contiguous parameter
-  /// block instead of three heap vectors per row. ComputeStats serves
-  /// either representation identically (the scan is full either way);
-  /// AddDocument on a compacted view lazily un-compacts first. Idempotent.
+  /// Converts the hash-map row store into the column store (FlatRows),
+  /// tuples sorted by key. ComputeStats serves either representation with
+  /// identical results and cost charge; AddDocument and MergeFrom on a
+  /// compacted view lazily un-compact first. Idempotent.
   void Compact();
   bool compacted() const { return compacted_; }
 
@@ -139,8 +143,9 @@ class MaterializedView {
   struct Row {
     uint64_t count = 0;
     uint64_t sum_len = 0;
-    std::vector<uint32_t> df;  // per tracked slot; empty unless track_df
-    std::vector<uint32_t> tc;  // per tracked slot; empty unless track_tc
+    // One cell per tracked slot when track_df / track_tc, else empty.
+    std::vector<uint32_t> df;
+    std::vector<uint32_t> tc;
   };
 
   /// Group-by key: the keyword-column signature plus (when the view has a
@@ -159,34 +164,80 @@ class MaterializedView {
     }
   };
 
-  /// Compacted row store: structure-of-arrays. Tuple keys are split into
-  /// one signature-word arena (sig_words per row, row-major) and a bucket
-  /// column that is kept only when the view has a time dimension (every
-  /// bucket is 0 otherwise); df/tc are packed row-major into one arena
-  /// each (stride num_tracked_).
+  /// The staging map's entries in compacted tuple order: by bucket, then
+  /// by signature words. views.csr frames list tuples in this order too,
+  /// so a view saves to the same bytes whichever store is live.
+  using RowEntry = std::pair<const TupleKey, Row>;
+  std::vector<const RowEntry*> SortedRows() const;
+
+  /// Compacted store: one column per attribute over the n sorted tuples.
+  /// Keyword columns are bit-sliced: column c is a row bitmap of
+  /// `row_words` words whose bit r is set iff tuple r's key holds c, so
+  /// the tuples matching P are the AND of |P| bitmaps. df/tc are
+  /// slot-major (`df[slot * n + r]`), so one keyword's sum walks one
+  /// contiguous column. The bucket column is kept only when the view has
+  /// a time dimension (every bucket is 0 otherwise).
   struct FlatRows {
-    size_t sig_words = 0;
-    std::vector<uint64_t> key_words;
+    size_t n = 0;
+    uint32_t columns = 0;
+    size_t row_words = 0;            // ceil(n / 64)
+    std::vector<uint64_t> key_bits;  // columns × row_words
     std::vector<uint16_t> buckets;
     std::vector<uint64_t> counts;
     std::vector<uint64_t> sum_lens;
-    std::vector<uint32_t> df;
-    std::vector<uint32_t> tc;
+    std::vector<uint32_t> df;  // slots × n, slot-major
+    std::vector<uint32_t> tc;  // slots × n, slot-major
 
-    size_t size() const { return counts.size(); }
-    std::span<const uint64_t> sig(size_t r) const {
-      return {key_words.data() + r * sig_words, sig_words};
+    size_t size() const { return n; }
+    size_t sig_words() const { return (columns + 63) / 64; }
+    const uint64_t* column(uint32_t c) const {
+      return key_bits.data() + c * row_words;
     }
     uint16_t bucket(size_t r) const {
       return buckets.empty() ? 0 : buckets[r];
     }
-    TupleKey key(size_t r) const {
-      std::span<const uint64_t> w = sig(r);
-      return TupleKey{
-          BitSignature::FromWords(std::vector<uint64_t>(w.begin(), w.end())),
-          bucket(r)};
+
+    /// Sizes an empty store for `rows` tuples of `num_columns` keyword
+    /// columns: all-zero key bitmaps, aggregate columns of `rows`, a bucket
+    /// column when `with_buckets`, and `rows * slots` df/tc cells when
+    /// enabled.
+    void Reset(size_t rows, uint32_t num_columns, bool with_buckets,
+               bool with_df, bool with_tc, size_t slots);
+    /// Sets tuple r's key bits from its signature words.
+    void SetKey(size_t r, const uint64_t* words);
+    /// Every tuple's signature words, row-major (sig_words() per tuple),
+    /// rebuilt from the key bitmaps.
+    std::vector<uint64_t> SigWords() const;
+
+    /// Visits the (row, slot) cells of rows [begin, end) × `slots` in
+    /// 64×64 tiles, slot-outer within a tile. A copy between per-row
+    /// parameter arrays and slot-major columns then touches 64 lines on
+    /// either side per tile, where a plain row- or slot-order walk strides
+    /// a whole column or row per cell on one side.
+    template <typename Fn>
+    static void ForEachParamCell(size_t begin, size_t end, size_t slots,
+                                 Fn&& fn) {
+      constexpr size_t kTile = 64;
+      for (size_t r0 = begin; r0 < end; r0 += kTile) {
+        size_t r1 = std::min(end, r0 + kTile);
+        for (size_t s0 = 0; s0 < slots; s0 += kTile) {
+          size_t s1 = std::min(slots, s0 + kTile);
+          for (size_t s = s0; s < s1; ++s) {
+            for (size_t r = r0; r < r1; ++r) fn(r, s);
+          }
+        }
+      }
     }
   };
+
+  /// The compacted scan: ANDs P's key columns 64 tuples per word, drops
+  /// tuples outside an active bucket range, and sums the matched cells of
+  /// each covered keyword's columns. No heap allocation.
+  void ScanColumns(std::span<const TermId> context,
+                   std::span<const TermId> keywords,
+                   const TrackedKeywords& tracked, bool filter_buckets,
+                   uint16_t bucket_lo, uint16_t bucket_hi,
+                   StatsResult* out) const;
 
   /// Rebuilds rows_ from flat_ (incremental maintenance needs keyed
   /// upserts).

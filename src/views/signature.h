@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "util/hash.h"
@@ -32,13 +31,8 @@ class BitSignature {
   /// True if every bit set in `mask` is also set here (mask ⊆ this).
   /// Both signatures must have the same capacity.
   bool ContainsAll(const BitSignature& mask) const {
-    return ContainsAll(words_, mask.words_);
-  }
-  /// The same test over raw signature words (compacted view key arenas).
-  static bool ContainsAll(std::span<const uint64_t> words,
-                          std::span<const uint64_t> mask) {
-    for (size_t i = 0; i < words.size(); ++i) {
-      if ((words[i] & mask[i]) != mask[i]) return false;
+    for (size_t i = 0; i < words_.size(); ++i) {
+      if ((words_[i] & mask.words_[i]) != mask.words_[i]) return false;
     }
     return true;
   }

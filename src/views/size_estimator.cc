@@ -69,27 +69,25 @@ uint64_t ViewSizeEstimator::Exact(const ViewDefinition& def) const {
   return CountDistinct(def, all_docs_);
 }
 
-uint64_t ViewSizeEstimator::BytesPerTuple(uint32_t keyword_columns,
-                                          const ViewParamOptions& options,
-                                          uint32_t num_tracked) {
-  // One signature word per 64 keyword columns in the compacted key arena,
-  // plus a 2-byte bucket column only when the view has a time dimension —
-  // the compacted layout is private to MaterializedView, so the
+uint64_t ViewSizeEstimator::CompactedBytes(uint64_t tuples,
+                                           uint32_t keyword_columns,
+                                           const ViewParamOptions& options,
+                                           uint32_t num_tracked) {
+  // The compacted layout is private to MaterializedView, so the
   // cross-check test pins this model against actual Compact() MemoryBytes.
-  uint64_t sig_words = (static_cast<uint64_t>(keyword_columns) + 63) / 64;
-  uint64_t key_bytes = sig_words * sizeof(uint64_t);
-  if (options.year_bucket_size > 0) key_bytes += sizeof(uint16_t);
-  uint64_t bytes = key_bytes + 2 * sizeof(uint64_t);  // count + sum_len
-  if (options.track_df) bytes += sizeof(uint32_t) * uint64_t{num_tracked};
-  if (options.track_tc) bytes += sizeof(uint32_t) * uint64_t{num_tracked};
-  return bytes;
+  uint64_t key_words = uint64_t{keyword_columns} * ((tuples + 63) / 64);
+  uint64_t per_tuple = 2 * sizeof(uint64_t);  // count + sum_len
+  if (options.year_bucket_size > 0) per_tuple += sizeof(uint16_t);
+  if (options.track_df) per_tuple += sizeof(uint32_t) * uint64_t{num_tracked};
+  if (options.track_tc) per_tuple += sizeof(uint32_t) * uint64_t{num_tracked};
+  return key_words * sizeof(uint64_t) + tuples * per_tuple;
 }
 
 uint64_t ViewSizeEstimator::EstimateBytes(const ViewDefinition& def,
                                           const ViewParamOptions& options,
                                           uint32_t num_tracked) const {
-  return Estimate(def) *
-         BytesPerTuple(def.num_columns(), options, num_tracked);
+  return CompactedBytes(Estimate(def), def.num_columns(), options,
+                        num_tracked);
 }
 
 }  // namespace csr

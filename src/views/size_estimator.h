@@ -39,21 +39,23 @@ class ViewSizeEstimator {
   /// requires exclusive access (no concurrent appends).
   uint64_t Exact(const ViewDefinition& def) const;
 
-  /// Modeled resident bytes per COMPACTED tuple for a view with
+  /// Modeled resident bytes of a COMPACTED view of `tuples` tuples with
   /// `keyword_columns` columns under `options` tracking `num_tracked`
-  /// slots. Mirrors MaterializedView::MemoryBytes of the flat row store:
-  /// the signature words in the key arena (one 64-bit word per 64 keyword
-  /// columns), a 2-byte bucket cell when the view has a time dimension,
-  /// the two 8-byte aggregate columns, and one 4-byte cell per tracked
-  /// slot per enabled df/tc column. All arithmetic is 64-bit: with ~1k tracked
-  /// slots one tuple already costs ~8 KiB, so a 32-bit product overflows
-  /// past ~500k tuples. Cross-checked against actual Compact() bytes in
-  /// the views test lane so the constants cannot silently rot.
-  static uint64_t BytesPerTuple(uint32_t keyword_columns,
-                                const ViewParamOptions& options,
-                                uint32_t num_tracked);
+  /// slots. Mirrors MaterializedView::MemoryBytes of the column store:
+  /// one row bitmap of ceil(tuples / 64) words per keyword column, the two
+  /// 8-byte aggregate columns, a 2-byte bucket column when the view has a
+  /// time dimension, and one 4-byte cell per tuple per tracked slot per
+  /// enabled df/tc column. Monotone in `tuples`. All arithmetic is 64-bit:
+  /// with ~1k tracked slots one tuple already costs ~8 KiB, so a 32-bit
+  /// product overflows past ~500k tuples. Cross-checked against actual
+  /// Compact() bytes in the views test lane so the model cannot silently
+  /// rot.
+  static uint64_t CompactedBytes(uint64_t tuples, uint32_t keyword_columns,
+                                 const ViewParamOptions& options,
+                                 uint32_t num_tracked);
 
-  /// Lower-bound resident-byte estimate: Estimate(def) * BytesPerTuple.
+  /// Lower-bound resident-byte estimate: CompactedBytes(Estimate(def)),
+  /// a lower bound because Estimate is and CompactedBytes is monotone.
   /// The adaptive controller uses this only as a pre-admission gate; its
   /// budget is accounted in actual MemoryBytes at install time. The
   /// per-segment delta path stores one partial tuple set per segment, so

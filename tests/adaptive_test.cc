@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -182,7 +184,7 @@ Corpus SmallCorpus(uint32_t docs = 1200, uint64_t seed = 42) {
   return CorpusGenerator(cfg).Generate().value();
 }
 
-TEST(SizeEstimatorTest, BytesPerTupleMatchesActualCompactBytes) {
+TEST(SizeEstimatorTest, CompactedBytesMatchesActualCompactBytes) {
   Corpus corpus = SmallCorpus();
   EngineConfig cfg;
   cfg.estimator_sample = 400;
@@ -200,12 +202,47 @@ TEST(SizeEstimatorTest, BytesPerTupleMatchesActualCompactBytes) {
         engine->predicate_index(), {});
     view.Compact();
     ASSERT_GT(view.NumTuples(), 0u);
-    // The model must reproduce the compacted row store exactly — a stale
-    // per-row constant here silently corrupts the admission gate.
+    // The model must reproduce the compacted store exactly — a stale
+    // constant here silently corrupts the admission gate.
     EXPECT_EQ(view.MemoryBytes(),
-              view.NumTuples() * ViewSizeEstimator::BytesPerTuple(
-                                     def.num_columns(), options, num_tracked))
+              ViewSizeEstimator::CompactedBytes(
+                  view.NumTuples(), def.num_columns(), options, num_tracked))
         << "columns=" << def.num_columns();
+  }
+}
+
+TEST(SizeEstimatorTest, CompactedBytesMatchesEveryStoreShape) {
+  // Synthetic views: tuple counts on and off the 64-row bitmap word, more
+  // than 64 keyword columns, tc on and off, and a time dimension.
+  const uint32_t num_tracked = 37;
+  for (uint32_t columns : {1u, 64u, 65u, 130u}) {
+    for (uint32_t tuples : {0u, 1u, 63u, 64u, 65u, 129u, 300u}) {
+      for (uint16_t bucket : {uint16_t{0}, uint16_t{5}}) {
+        for (bool tc : {false, true}) {
+          ViewParamOptions options{true, tc, bucket};
+          TermIdSet cols;
+          for (uint32_t c = 0; c < columns; ++c) cols.push_back(c);
+          MaterializedView view(ViewDefinition{cols}, options, num_tracked);
+          // Tuple t: signature bit t % columns, year bucket t / columns.
+          // A bucketless view only reaches `columns` distinct tuples.
+          uint32_t made = bucket > 0 ? tuples : std::min(tuples, columns);
+          for (uint32_t t = 0; t < made; ++t) {
+            BitSignature sig(columns);
+            sig.Set(t % columns);
+            std::pair<uint32_t, uint32_t> param{t % num_tracked, 2};
+            view.AddDocument(sig, 10, {&param, 1},
+                             static_cast<uint16_t>(t / columns * bucket));
+          }
+          view.Compact();
+          ASSERT_EQ(view.NumTuples(), made);
+          EXPECT_EQ(view.MemoryBytes(),
+                    ViewSizeEstimator::CompactedBytes(made, columns, options,
+                                                      num_tracked))
+              << "columns=" << columns << " tuples=" << made
+              << " bucket=" << bucket << " tc=" << tc;
+        }
+      }
+    }
   }
 }
 
@@ -213,12 +250,18 @@ TEST(SizeEstimatorTest, ByteArithmeticIs64Bit) {
   ViewParamOptions options;
   options.track_df = true;
   options.track_tc = true;
-  // A (hypothetical) view tracking 2^30 slots: per-tuple bytes alone must
-  // exceed 32 bits of product headroom instead of silently truncating.
-  uint64_t per_tuple =
-      ViewSizeEstimator::BytesPerTuple(64, options, 1u << 30);
-  EXPECT_GT(per_tuple, (1ull << 33));
-  EXPECT_EQ(per_tuple % 4, 0u);
+  // A (hypothetical) view tracking 2^30 slots: one tuple's bytes alone
+  // must exceed 32 bits of product headroom instead of silently
+  // truncating, and so must the key bitmaps of 2^32 tuples.
+  uint64_t one_tuple =
+      ViewSizeEstimator::CompactedBytes(1, 64, options, 1u << 30);
+  EXPECT_GT(one_tuple, (1ull << 33));
+  EXPECT_EQ(one_tuple % 4, 0u);
+  ViewParamOptions keys_only;
+  keys_only.track_df = false;
+  uint64_t many = ViewSizeEstimator::CompactedBytes(1ull << 32, 64,
+                                                    keys_only, 0);
+  EXPECT_EQ(many, (1ull << 32) * 16 + 64 * ((1ull << 32) / 64) * 8);
 }
 
 TEST(SizeEstimatorTest, EstimateBytesIsALowerBoundOnActual) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-smoke gates for the serving path.
 
-Seven modes, selectable per invocation (at least one is required):
+Eight modes, selectable per invocation (at least one is required):
 
 --bench + --baseline: runs bench_ablation_codec --json fresh and fails if
 the compressed dense-intersection QPS falls below --threshold of the same
@@ -65,6 +65,14 @@ kForOnly; its median per-round speedup must hold --intersect-dense-floor
 (on every dispatch level: the saving is decode work, not SIMD), both arms
 must count the same intersection, and that count and the list sizes are
 cross-checked against the baseline.
+
+--fig7-bench: runs bench_fig7_large_contexts --json fresh and gates the
+paper's Figure 7 shape as same-run ratios at every keyword count 2-5:
+the with-views plan must beat the straightforward plan end to end, and
+the straightforward statistics phase must take at least FIG7_STATS_FLOOR
+times the with-views statistics phase (the Theorem 4.2 view scan plus the
+query-time intersections for untracked keywords). A keyword count missing
+from the report fails at once.
 
 --self-test: runs this script's own pytest-style unit tests (no pytest
 dependency; plain asserts over the pure check functions and the JSON
@@ -474,6 +482,44 @@ def check_intersect_perf(report, near_floor, gallop_floor, dense_floor):
     return failures
 
 
+FIG7_KEYWORD_COUNTS = ("2", "3", "4", "5")
+
+# Straightforward-over-views statistics-phase time floor at every keyword
+# count (see EXPERIMENTS.md E5 for the measured ratios it sits under).
+FIG7_STATS_FLOOR = 20.0
+
+
+def check_fig7_complete(report):
+    """Deterministic Figure 7 check: every keyword count was measured."""
+    kw = section(report, "fig7", "bench_fig7_large_contexts").get("keywords")
+    if not isinstance(kw, dict):
+        raise GateError("bench report has no 'fig7.keywords' section")
+    return [f"keyword count {k} missing from the Figure 7 report (no "
+            f"qualifying queries generated?)"
+            for k in FIG7_KEYWORD_COUNTS if k not in kw]
+
+
+def check_fig7(report):
+    """Returns a list of failure strings for one fresh Figure 7 run."""
+    fig = section(report, "fig7", "bench_fig7_large_contexts")
+    failures = []
+    for k in FIG7_KEYWORD_COUNTS:
+        point = fig["keywords"][k]
+        views, direct = point["views"], point["straightforward"]
+        if views["total_ms"] >= direct["total_ms"]:
+            failures.append(
+                f"{k} keywords: views {views['total_ms']:.3f} ms is not "
+                f"below straightforward {direct['total_ms']:.3f} ms")
+        ratio = direct["stats_ms"] / max(views["stats_ms"], 1e-9)
+        if ratio < FIG7_STATS_FLOOR:
+            failures.append(
+                f"{k} keywords: straightforward stats "
+                f"{direct['stats_ms']:.4f} ms is {ratio:.1f}x views stats "
+                f"{views['stats_ms']:.4f} ms (floor {FIG7_STATS_FLOOR:.1f}x, "
+                f"{fig['dispatch_level']}, nproc {fig['nproc']})")
+    return failures
+
+
 def retry_gate(label, attempts, run_once, on_ok):
     """Shared retry loop for the timing-sensitive gates."""
     for attempt in range(1, attempts + 1):
@@ -641,6 +687,28 @@ def run_ingest_gate(args):
               f"{ing['view_deltas']['fold_overhead_ratio']:.2f}x")
 
     return retry_gate("ingest", args.attempts, once, ok)
+
+
+def run_fig7_gate(args):
+    def once():
+        report = run_bench(args.fig7_bench)
+        missing = check_fig7_complete(report)
+        if missing:
+            for msg in missing:
+                print(f"FAIL: {msg}", file=sys.stderr)
+            return report, None
+        return report, check_fig7(report)
+
+    def ok(report, attempt):
+        fig = report["fig7"]
+        ratios = ", ".join(
+            f"{k}kw {p['straightforward']['stats_ms'] / p['views']['stats_ms']:.1f}x"
+            for k, p in sorted(fig["keywords"].items()))
+        print(f"fig7 gate OK (attempt {attempt}/{args.attempts}, "
+              f"{fig['dispatch_level']}, nproc {fig['nproc']}): "
+              f"straightforward/views stats {ratios}")
+
+    return retry_gate("fig7", args.attempts, once, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,6 +1129,69 @@ def test_exact_cross_check_flags_mismatch():
     assert len(fails) == 1 and "identical_topk" in fails[0]
 
 
+def _fig7_report(**overrides):
+    """A minimal passing Figure 7 report; overrides replace a keyword
+    count's point (None drops it)."""
+    def point(views_stats, direct_stats):
+        return {"queries": 50, "view_hit_frac": 1.0,
+                "conventional": {"total_ms": 0.05, "stats_ms": 0.0001},
+                "views": {"total_ms": 0.1, "stats_ms": views_stats},
+                "straightforward": {"total_ms": 1.5,
+                                    "stats_ms": direct_stats}}
+    keywords = {k: point(0.04, 1.2) for k in FIG7_KEYWORD_COUNTS}
+    for k, value in overrides.items():
+        if value is None:
+            del keywords[k]
+        else:
+            keywords[k] = point(*value)
+    return {"fig7": {"nproc": 4, "dispatch_level": "avx2",
+                     "keywords": keywords}}
+
+
+def test_fig7_passes_on_good_report():
+    report = _fig7_report()
+    assert check_fig7_complete(report) == []
+    assert check_fig7(report) == []
+
+
+def test_fig7_fails_below_stats_floor():
+    fails = check_fig7(_fig7_report(**{"3": (0.06, 1.0)}))
+    assert len(fails) == 1 and "3 keywords" in fails[0], fails
+
+
+def test_fig7_fails_when_views_lose_end_to_end():
+    report = _fig7_report()
+    report["fig7"]["keywords"]["5"]["views"]["total_ms"] = 2.0
+    fails = check_fig7(report)
+    assert len(fails) == 1 and "not below straightforward" in fails[0]
+
+
+def test_fig7_missing_keyword_count_fails_at_once():
+    fails = check_fig7_complete(_fig7_report(**{"4": None}))
+    assert len(fails) == 1 and "keyword count 4" in fails[0], fails
+
+
+def test_fig7_malformed_report_is_gate_error():
+    with tempfile.NamedTemporaryFile("w", suffix=".json",
+                                     delete=False) as tmp:
+        tmp.write('{"fig7": {"keywords": ')
+        path = tmp.name
+    try:
+        check_fig7_complete(load_json(path, "fig7 report"))
+    except GateError as e:
+        assert "not valid JSON" in str(e)
+    else:
+        raise AssertionError("malformed fig7 report did not raise")
+    finally:
+        os.unlink(path)
+    try:
+        check_fig7_complete({"fig7": {"nproc": 4}})
+    except GateError as e:
+        assert "fig7.keywords" in str(e)
+    else:
+        raise AssertionError("fig7 report without keywords did not raise")
+
+
 def run_self_test():
     tests = sorted(
         (name, fn) for name, fn in globals().items()
@@ -1139,6 +1270,8 @@ def main():
     ap.add_argument("--intersect-dense-floor", type=float, default=3.0,
                     help="kAuto-over-kForOnly leapfrog speedup floor for "
                          "the dense_probe bucket")
+    ap.add_argument("--fig7-bench",
+                    help="path to the bench_fig7_large_contexts binary")
     ap.add_argument("--self-test", action="store_true",
                     help="run this script's own unit tests and exit")
     args = ap.parse_args()
@@ -1148,10 +1281,11 @@ def main():
 
     if (not args.bench and not args.obs_bench and not args.serving_bench
             and not args.ingest_bench and not args.intersect_bench
-            and not args.pipeline_bench and not args.adaptive_bench):
+            and not args.pipeline_bench and not args.adaptive_bench
+            and not args.fig7_bench):
         ap.error("one of --bench, --obs-bench, --serving-bench, "
-                 "--ingest-bench, --pipeline-bench, --adaptive-bench or "
-                 "--intersect-bench is required")
+                 "--ingest-bench, --pipeline-bench, --adaptive-bench, "
+                 "--intersect-bench or --fig7-bench is required")
     if (args.bench or args.intersect_bench) and not args.baseline:
         ap.error("--bench/--intersect-bench require --baseline")
 
@@ -1170,6 +1304,8 @@ def main():
         gates.append(run_adaptive_gate)
     if args.intersect_bench:
         gates.append(run_intersect_gate)
+    if args.fig7_bench:
+        gates.append(run_fig7_gate)
     for gate in gates:
         try:
             rc = gate(args)
